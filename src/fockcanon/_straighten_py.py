@@ -16,10 +16,15 @@ form using the adjacent exchange rule:
 
 A word with two equal adjacent entries is zero; a word with equal non-adjacent
 entries is NOT zero a priori and must keep reducing (it either cancels or
-feeds lower terms).  Rewriting terminates because each step strictly decreases
-(sum of squared entries, inversion count) lexicographically; processing words
-in decreasing order of that potential lets every distinct word be expanded
-exactly once, with all contributions merged beforehand.
+feeds lower terms).  Each step rewrites the first ascent a < b of a word w:
+the swapped word keeps the sum of squared entries and is lexicographically
+larger than w, and the correction word with (b - s, a + s), 0 < 2s < b - a,
+has a sum of squares smaller by exactly 2s(b - a - s) > 0.  So every step
+strictly increases the key (-sum of squares, word), which takes finitely many
+values at fixed degree and length, and rewriting terminates.  Popping words
+from a min-heap on that key expands each word only after every word that can
+produce it, so each distinct word is expanded exactly once, with all its
+contributions merged beforehand.
 """
 
 from __future__ import annotations
@@ -57,19 +62,6 @@ def _expansion(d: int, gap: int, n: int):
     return result
 
 
-def _potential(w) -> tuple[int, int]:
-    sumsq = 0
-    for v in w:
-        sumsq += v * v
-    inv = 0
-    for i in range(len(w)):
-        wi = w[i]
-        for j in range(i + 1, len(w)):
-            if wi <= w[j]:
-                inv += 1
-    return sumsq, inv
-
-
 def _first_ascent(w) -> int:
     for j in range(len(w) - 1):
         if w[j] <= w[j + 1]:
@@ -95,12 +87,11 @@ def straighten_terms(items, n: int) -> dict:
     pending: dict[tuple, dict] = {}
     heap: list = []
 
-    def push(w, poly):
+    def push(w, sumsq, poly):
         acc = pending.get(w)
         if acc is None:
             pending[w] = dict(poly)
-            sumsq, inv = _potential(w)
-            heapq.heappush(heap, (-sumsq, -inv, w))
+            heapq.heappush(heap, (-sumsq, w))
         else:
             _merge(acc, poly)
             if not acc:
@@ -108,11 +99,11 @@ def straighten_terms(items, n: int) -> dict:
 
     for w, poly in items:
         if poly:
-            push(tuple(w), poly)
+            push(tuple(w), sum(v * v for v in w), poly)
 
     out: dict[tuple, dict] = {}
     while heap:
-        _, _, w = heapq.heappop(heap)
+        neg_sumsq, w = heapq.heappop(heap)
         poly = pending.pop(w, None)
         if poly is None:
             continue
@@ -130,11 +121,12 @@ def straighten_terms(items, n: int) -> dict:
         head, tail = w[:j], w[j + 2 :]
         swapped = head + (b, a) + tail
         d = (b - a) % n
+        sumsq = -neg_sumsq
         if d == 0:
-            push(swapped, {e: -c for e, c in poly.items()})
+            push(swapped, sumsq, {e: -c for e, c in poly.items()})
             continue
         # main term: -q^-1 * swapped
-        push(swapped, {e - 1: -c for e, c in poly.items()})
+        push(swapped, sumsq, {e - 1: -c for e, c in poly.items()})
         for s, c2, e2, c0, e0 in _expansion(d, b - a, n):
             w2 = head + (b - s, a + s) + tail
             term: dict = {}
@@ -150,5 +142,5 @@ def straighten_terms(items, n: int) -> dict:
                 else:
                     term.pop(e + e0, None)
             if term:
-                push(w2, term)
+                push(w2, sumsq - 2 * s * (b - a - s), term)
     return {w: p for w, p in out.items() if p}

@@ -53,6 +53,17 @@ def parse_vector(text: str) -> FockVector:
     return FockVector.basis(parse_partition(stripped))
 
 
+def parse_modulus(text: str) -> int:
+    """The -n value of every subcommand: an integer n >= 2."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"n must be >= 2, got {n}")
+    return n
+
+
 def compute_matrix(kind: str, n: int, m: int) -> TransitionMatrix:
     if kind == "A":
         return a_matrix(n, m)
@@ -134,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_matrix = sub.add_parser("matrix", help="compute and print a transition matrix")
     p_matrix.add_argument("--kind", required=True, choices=["A", "D", "E", "C"])
-    p_matrix.add_argument("-n", type=int, required=True, help="modulus, n >= 2")
+    p_matrix.add_argument("-n", type=parse_modulus, required=True, help="modulus, n >= 2")
     p_matrix.add_argument("-m", type=int, required=True, help="degree, m >= 0")
     p_matrix.add_argument(
         "--format", default="pretty", choices=["json", "csv", "latex", "pretty"]
@@ -151,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_apply = sub.add_parser("apply", help="apply an operator to a vector")
     p_apply.add_argument("op", choices=["f", "e", "V", "U", "B", "S", "bar"])
-    p_apply.add_argument("-n", type=int, required=True)
+    p_apply.add_argument("-n", type=parse_modulus, required=True, help="modulus, n >= 2")
     p_apply.add_argument("--vector", required=True,
                          help='partition ("311" or "[3,1,1]") or JSON FockVector')
     p_apply.add_argument("--i", type=int, default=None, help="residue for f/e")
@@ -160,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
-    p_verify.add_argument("-n", type=int, default=2)
+    p_verify.add_argument("-n", type=parse_modulus, default=2, help="modulus, n >= 2")
     p_verify.add_argument("--max-m", type=int, default=6)
 
     return parser

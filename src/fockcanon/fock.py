@@ -24,6 +24,7 @@ from .partitions import (
     ribbon_strips_above,
     ribbon_strips_below,
 )
+from .wedge import accumulate
 
 
 class FockVector:
@@ -71,12 +72,7 @@ class FockVector:
     def __add__(self, other: "FockVector") -> "FockVector":
         out = dict(self.terms)
         for p, c in other.terms.items():
-            cur = out.get(p)
-            val = c if cur is None else cur + c
-            if val:
-                out[p] = val
-            else:
-                out.pop(p, None)
+            accumulate(out, p, c)
         return FockVector(out)
 
     def __neg__(self) -> "FockVector":
@@ -170,11 +166,11 @@ def _coeff_str(c) -> tuple[str, int]:
 
 def f_action(i: int, v: FockVector, n: int) -> FockVector:
     """Node-adding generator: f_i |lam> = sum q^{N_i^r} |mu>."""
-    out = FockVector()
+    out: dict = {}
     for p, c in v.items():
         for mu, n_r, _ in add_node_variants(p, i, n):
-            out = out + FockVector({mu: c * LaurentPoly.monomial(1, n_r)})
-    return out
+            accumulate(out, mu, c * LaurentPoly.monomial(1, n_r))
+    return FockVector(out)
 
 
 def e_action(i: int, v: FockVector, n: int) -> FockVector:
@@ -183,11 +179,11 @@ def e_action(i: int, v: FockVector, n: int) -> FockVector:
     The exponent is the negative of the left count; the positive variant
     fails the quantum Serre commutator with f_i.
     """
-    out = FockVector()
+    out: dict = {}
     for p, c in v.items():
         for lam, n_l, _ in remove_node_variants(p, i, n):
-            out = out + FockVector({lam: c * LaurentPoly.monomial(1, -n_l)})
-    return out
+            accumulate(out, lam, c * LaurentPoly.monomial(1, -n_l))
+    return FockVector(out)
 
 
 def weight_exponents(p: Partition, n: int) -> tuple[tuple[int, ...], int]:
@@ -213,28 +209,28 @@ def v_op(k: int, v: FockVector, n: int) -> FockVector:
     V_k |lam> = sum (-1)^h q^{-h} |mu> over horizontal strips of weight k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    out = FockVector()
+    out: dict = {}
     for p, c in v.items():
         for strip in ribbon_strips_above(p, n, k):
             coeff = c * LaurentPoly.monomial(
                 -1 if strip.height % 2 else 1, -strip.height
             )
-            out = out + FockVector({strip.target: coeff})
-    return out
+            accumulate(out, strip.target, coeff)
+    return FockVector(out)
 
 
 def u_op(k: int, v: FockVector, n: int) -> FockVector:
     """Adjoint of v_op: strip removal with the same signed coefficients."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    out = FockVector()
+    out: dict = {}
     for p, c in v.items():
         for strip in ribbon_strips_below(p, n, k):
             coeff = c * LaurentPoly.monomial(
                 -1 if strip.height % 2 else 1, -strip.height
             )
-            out = out + FockVector({strip.source: coeff})
-    return out
+            accumulate(out, strip.source, coeff)
+    return FockVector(out)
 
 
 def _b_chain(parts, v: FockVector, n: int) -> FockVector:
@@ -265,13 +261,14 @@ def v_op_via_heisenberg(k: int, v: FockVector, n: int) -> FockVector:
 def s_alpha(alpha: Partition, v: FockVector, n: int) -> FockVector:
     """Ribbon analogue of multiplication by the Schur function s_alpha,
     via the inverse Kostka expansion s_alpha = sum kappa_mu h_mu."""
-    out = FockVector()
+    out: dict = {}
     for mu, kappa in symfunc.schur_to_h(tuple(alpha)).items():
         term = v
         for part in reversed(mu):
             term = v_op(part, term, n)
-        out = out + term.scale(kappa)
-    return out
+        for p, c in term.items():
+            accumulate(out, p, c * kappa)
+    return FockVector(out)
 
 
 def s_alpha_via_characters(alpha: Partition, v: FockVector, n: int) -> FockVector:
@@ -320,7 +317,9 @@ def bar_basis_vector(p: Partition, n: int, k: int | None = None) -> FockVector:
 
 def bar(v: FockVector, n: int) -> FockVector:
     """Semi-linear involution: coefficients q -> 1/q, kets to their bar images."""
-    out = FockVector()
+    out: dict = {}
     for p, c in v.items():
-        out = out + bar_basis_vector(p, n).scale(c.bar())
-    return out
+        cb = c.bar()
+        for lam, a in wedge.bar_basis(tuple(p), n).items():
+            accumulate(out, lam, a * cb)
+    return FockVector(out)

@@ -24,7 +24,7 @@ class CacheMissError(KeyError):
 
 
 class SchemaMismatchError(ValueError):
-    """The document does not carry the expected schema string."""
+    """The document does not follow the expected schema or cannot be decoded."""
 
 
 def matrix_to_doc(mat: TransitionMatrix) -> dict:
@@ -91,13 +91,18 @@ def cache_store(directory: str, mat: TransitionMatrix) -> str:
 
 
 def cache_load(directory: str, kind: str, n: int, m: int) -> TransitionMatrix:
+    """Load a cached matrix.  Raises CacheMissError when there is no entry and
+    SchemaMismatchError when the entry cannot be decoded or does not match
+    its key."""
     path = cache_path(directory, kind, n, m)
     try:
         with open(path) as fh:
             text = fh.read()
+        mat = matrix_from_json(text)
     except FileNotFoundError:
         raise CacheMissError(f"no cache entry {path}") from None
-    mat = matrix_from_json(text)
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise SchemaMismatchError(f"cache entry {path} cannot be decoded: {exc}") from exc
     if (mat.kind, mat.n, mat.m) != (kind, n, m):
         raise SchemaMismatchError(f"cache entry {path} does not match its key")
     return mat

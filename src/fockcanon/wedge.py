@@ -3,9 +3,7 @@
 A word is the explicit head (i_1, ..., i_K) of the semi-infinite wedge
 u_{i_1} ^ u_{i_2} ^ ... with the implicit tail i_k = -k + 1 for k > K.  The
 basis vector attached to a partition has i_k = lambda_k - k + 1.  All
-straightening goes through a swappable kernel: a compiled extension when
-available, a pure-Python fallback otherwise (set FOCKCANON_PURE=1 to force
-the fallback).
+straightening goes through the kernel in ``_straighten_py``.
 
 A WedgeVector is a plain dict mapping normally ordered words to LaurentPoly
 coefficients; bar images of basis vectors come out keyed by partitions so the
@@ -14,22 +12,13 @@ bosonic layer can consume them directly.
 
 from __future__ import annotations
 
-import os
-
+from . import _straighten_py as _kernel
 from .laurent import LaurentPoly
 from .partitions import Partition
 
-if os.environ.get("FOCKCANON_PURE") == "1":
-    from . import _straighten_py as _kernel
-else:
-    try:
-        from . import _straighten as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _straighten_py as _kernel
-
 
 def backend() -> str:
-    """Name of the active straightening kernel ("cython" or "python")."""
+    """Name of the straightening kernel: always "python"."""
     return _kernel.BACKEND
 
 
@@ -121,13 +110,14 @@ def straighten(head, n: int) -> dict[Word, LaurentPoly]:
     return out
 
 
-def _accumulate(acc: dict, word: Word, coeff) -> None:
-    cur = acc.get(word)
+def accumulate(acc: dict, key, coeff) -> None:
+    """Add coeff into acc[key] in place, dropping the key when the sum is 0."""
+    cur = acc.get(key)
     val = coeff if cur is None else cur + coeff
     if val:
-        acc[word] = val
+        acc[key] = val
     else:
-        acc.pop(word, None)
+        acc.pop(key, None)
 
 
 def b_action_words(k: int, wv: dict, n: int) -> dict:
@@ -149,7 +139,7 @@ def b_action_words(k: int, wv: dict, n: int) -> dict:
         for j in range(span):
             moved = w[:j] + (w[j] + delta,) + w[j + 1 :]
             for res, poly in _straighten_minimal(minimal_head(moved), n):
-                _accumulate(out, res, coeff * poly)
+                accumulate(out, res, coeff * poly)
     return out
 
 

@@ -121,6 +121,25 @@ def test_apply_examples(capsys):
     assert (code, out.strip()) == (0, "0")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "bar", "-n", "1", "--vector", "21"],
+        ["apply", "bar", "-n", "0", "--vector", "21"],
+        ["apply", "f", "--i", "0", "-n", "-3", "--vector", "1"],
+        ["matrix", "--kind", "D", "-n", "1", "-m", "2", "--no-cache"],
+        ["verify", "--suite", "tables", "-n", "1", "--max-m", "3"],
+        ["verify", "--suite", "uqsl", "-n", "x"],
+    ],
+)
+def test_bad_modulus_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "-n" in err and "Traceback" not in err
+
+
 def test_apply_malformed_vector_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["apply", "f", "--i", "0", "-n", "2", "--vector", "[1,3]"])
@@ -181,6 +200,23 @@ def test_cache_load_rejects_corrupted_schema(tmp_path):
     open(path, "w").write(json.dumps(doc))
     with pytest.raises(matrixio.SchemaMismatchError):
         matrixio.cache_load(str(tmp_path), "D", 2, 3)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda text: text[: len(text) // 2], lambda text: "[]", lambda text: "\udcff"],
+    ids=["truncated", "not-a-document", "not-utf8"],
+)
+def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, damage):
+    cache = str(tmp_path / "cache")
+    argv = ("matrix", "--kind", "D", "-n", "2", "-m", "4", "--format", "json",
+            "--cache-dir", cache)
+    code, first = run_cli(capsys, *argv)
+    path = tmp_path / "cache" / "D_n2_m4.json"
+    path.write_text(damage(first), errors="surrogateescape")
+    code, again = run_cli(capsys, *argv)
+    assert (code, again) == (0, first)
+    assert path.read_text() == first
 
 
 def test_cache_miss(tmp_path):
