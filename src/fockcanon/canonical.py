@@ -1,11 +1,12 @@
 """Canonical bases and transition matrices.
 
 Per degree m the bar involution is unitriangular on the standard basis in
-reverse-lexicographic order, with blocks indexed by n-cores.  The triangular
-correction algorithm turns that into the two canonical bases: processing
-partitions upward in revlex, repeatedly cancel the revlex-maximal defect of
-bar(v) - v with an earlier basis vector, using corrections in qZ[q] for the
-upper basis G and in q^-1 Z[q^-1] for the lower basis G^-.
+reverse-lexicographic order, with blocks indexed by n-cores.  Bar-invariance
+and unitriangularity then fix the canonical bases one entry at a time: for
+each basis vector, walk the rest of its block downward in revlex, and the
+sum of a[lam, nu] bar(x[nu]) over the entries nu already solved is a
+bar-antisymmetric polynomial whose qZ[q] half is the next entry of the upper
+basis G, and whose q^-1 Z[q^-1] half is that of the lower basis G^-.
 
 Matrix kinds and orientations:
   A: bar images,      column mu = bar|mu>
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import fock
+from . import fock, wedge
 from .fock import FockVector
 from .laurent import ONE, ZERO, LaurentPoly, antisym_split
 from .partitions import (
@@ -28,11 +29,11 @@ from .partitions import (
     is_n_regular,
     n_core_quotient,
     partitions_of,
-    revlex_index,
     revlex_order,
     two_sign,
     yamanouchi_domino_tableaux,
 )
+from .wedge import accumulate
 
 
 class NotApplicableError(ValueError):
@@ -121,44 +122,54 @@ def a_matrix(n: int, m: int) -> TransitionMatrix:
     return TransitionMatrix("A", n, m, revlex_order(m), entries)
 
 
-def _canonical_basis(n: int, m: int, lower: bool) -> dict[Partition, FockVector]:
-    index = revlex_index(m)
-    basis: dict[Partition, FockVector] = {}
+def _canonical_basis(
+    n: int, m: int, lower: bool
+) -> dict[tuple[Partition, Partition], LaurentPoly]:
+    """Entries of D (lower=False) or E (lower=True), keyed (row, column).
+
+    For the basis vector of mu, acc[lam] sums a[lam, nu] bar(x[nu]) over the
+    entries x[nu] solved so far; by bar-invariance it equals x[lam] - bar(x[lam]).
+    """
+    entries: dict[tuple[Partition, Partition], LaurentPoly] = {}
     for block in blocks(n, m).values():
-        for mu in reversed(block):  # ascending revlex
-            v = FockVector.basis(mu)
-            while True:
-                delta = fock.bar(v, n) - v
-                if not delta:
-                    break
-                nu = min(delta.support(), key=lambda p: index[p])
-                parts = antisym_split(delta.coeff(nu))
-                if lower:
-                    corr = LaurentPoly.from_terms({-j: -r for j, r in parts.items()})
+        images = {nu: wedge.bar_basis(nu, n) for nu in block}
+        for i, mu in enumerate(block):
+            acc: dict[Partition, LaurentPoly] = {}
+            for lam in block[i:]:
+                if lam == mu:
+                    x = ONE
+                elif lam in acc:
+                    parts = antisym_split(acc.pop(lam))
+                    if lower:
+                        x = LaurentPoly.from_terms({-j: -r for j, r in parts.items()})
+                    else:
+                        x = LaurentPoly.from_terms(parts)
                 else:
-                    corr = LaurentPoly.from_terms(dict(parts))
-                v = v + basis[nu].scale(corr)
-            basis[mu] = v
-    return basis
+                    continue
+                entries[(mu, lam) if lower else (lam, mu)] = x
+                xb = x.bar()
+                for nu, a in images[lam].items():
+                    if nu != lam:
+                        accumulate(acc, nu, a * xb)
+            if acc:
+                raise AssertionError(
+                    f"bar images of the {n}-core block of {mu} are not "
+                    f"unitriangular: {sorted(acc)} left over"
+                )
+    return entries
 
 
 @lru_cache(maxsize=None)
 def canonical_upper(n: int, m: int) -> TransitionMatrix:
     """Matrix D: column mu holds G(mu) = |mu> + sum_{lam} d_{lam mu} |lam>."""
-    basis = _canonical_basis(n, m, lower=False)
-    entries = {
-        (lam, mu): c for mu, v in basis.items() for lam, c in v.items()
-    }
+    entries = _canonical_basis(n, m, lower=False)
     return TransitionMatrix("D", n, m, revlex_order(m), entries)
 
 
 @lru_cache(maxsize=None)
 def canonical_lower(n: int, m: int) -> TransitionMatrix:
     """Matrix E: row lam holds G^-(lam) = sum_mu e_{lam mu} |mu>."""
-    basis = _canonical_basis(n, m, lower=True)
-    entries = {
-        (lam, mu): c for lam, v in basis.items() for mu, c in v.items()
-    }
+    entries = _canonical_basis(n, m, lower=True)
     return TransitionMatrix("E", n, m, revlex_order(m), entries)
 
 
@@ -194,14 +205,6 @@ def check_duality(e: TransitionMatrix, c: TransitionMatrix) -> bool:
             if c.entry(lam, mu) != e.entry(conjugate(lam), conjugate(mu)).bar():
                 return False
     return True
-
-
-def adjoint_from_lower(e: TransitionMatrix) -> TransitionMatrix:
-    """Kind-C matrix built from E through the conjugation duality."""
-    entries = {}
-    for (lam, mu), v in e.entries.items():
-        entries[(conjugate(lam), conjugate(mu))] = v.bar()
-    return TransitionMatrix("C", e.n, e.m, e.order, entries)
 
 
 def steinberg_decompose(p: Partition, n: int) -> tuple[Partition, Partition]:

@@ -48,20 +48,31 @@ def parse_vector(text: str) -> FockVector:
     if stripped.startswith("["):
         doc = json.loads(stripped)
         if doc and isinstance(doc[0], dict):
+            for entry in doc:
+                entry["partition"] = check_partition(entry["partition"])
             return FockVector.from_json(doc)
         return FockVector.basis(check_partition(doc))
     return FockVector.basis(parse_partition(stripped))
 
 
-def parse_modulus(text: str) -> int:
-    """The -n value of every subcommand: an integer n >= 2."""
+def _int_at_least(text: str, low: int, name: str) -> int:
     try:
-        n = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"n must be >= 2, got {n}")
-    return n
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def parse_modulus(text: str) -> int:
+    """The -n value of every subcommand: an integer n >= 2."""
+    return _int_at_least(text, 2, "n")
+
+
+def parse_degree(text: str) -> int:
+    """The -m value of matrix and the --max-m value of verify: an integer m >= 0."""
+    return _int_at_least(text, 0, "m")
 
 
 def compute_matrix(kind: str, n: int, m: int) -> TransitionMatrix:
@@ -146,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix = sub.add_parser("matrix", help="compute and print a transition matrix")
     p_matrix.add_argument("--kind", required=True, choices=["A", "D", "E", "C"])
     p_matrix.add_argument("-n", type=parse_modulus, required=True, help="modulus, n >= 2")
-    p_matrix.add_argument("-m", type=int, required=True, help="degree, m >= 0")
+    p_matrix.add_argument("-m", type=parse_degree, required=True, help="degree, m >= 0")
     p_matrix.add_argument(
         "--format", default="pretty", choices=["json", "csv", "latex", "pretty"]
     )
@@ -172,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     p_verify.add_argument("-n", type=parse_modulus, default=2, help="modulus, n >= 2")
-    p_verify.add_argument("--max-m", type=int, default=6)
+    p_verify.add_argument("--max-m", type=parse_degree, default=6, help="largest degree, m >= 0")
 
     return parser
 

@@ -51,12 +51,6 @@ class FockVector:
     def zero(cls) -> "FockVector":
         return cls()
 
-    def coeff(self, p: Partition):
-        return self.terms.get(tuple(p), ZERO)
-
-    def support(self):
-        return set(self.terms)
-
     def items(self):
         return self.terms.items()
 

@@ -159,14 +159,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not defined in Z[q,1/q]")
-        out = ONE
-        for _ in range(k):
-            out = out * self
-        return out
-
     def shift(self, exp: int) -> "LaurentPoly":
         """Multiply by the monomial q^exp."""
         return LaurentPoly(self.min + exp, self.coeffs)

@@ -1,6 +1,6 @@
 import pytest
 
-from fockcanon import fock, verify
+from fockcanon import fock, verify, wedge
 from fockcanon.canonical import (
     NotApplicableError,
     a_matrix,
@@ -14,13 +14,14 @@ from fockcanon.canonical import (
     steinberg_g_minus,
 )
 from fockcanon.fock import FockVector
-from fockcanon.laurent import ONE, LaurentPoly
+from fockcanon.laurent import ONE, LaurentPoly, NotAntisymmetricError, antisym_split
 from fockcanon.partitions import (
     conjugate,
     dominance_leq,
     is_n_regular,
     n_core_quotient,
     partitions_of,
+    revlex_index,
     revlex_order,
 )
 
@@ -78,6 +79,71 @@ def test_canonical_lower_core_is_bare():
                 core, quot = n_core_quotient(lam, n)
                 if core == lam:
                     assert e.row(lam) == FockVector.basis(lam)
+
+
+def _bar_correction_basis(n, m, lower):
+    """Slow oracle: from |mu> upward in revlex, cancel the revlex-maximal
+    defect of bar(v) - v with an earlier basis vector until v is bar-invariant."""
+    index = revlex_index(m)
+    basis = {}
+    for block in blocks(n, m).values():
+        for mu in reversed(block):
+            v = FockVector.basis(mu)
+            while True:
+                delta = fock.bar(v, n) - v
+                if not delta:
+                    break
+                nu = min(delta.terms, key=lambda p: index[p])
+                parts = antisym_split(delta.terms[nu])
+                if lower:
+                    corr = P({-j: -r for j, r in parts.items()})
+                else:
+                    corr = P(parts)
+                v = v + basis[nu].scale(corr)
+            basis[mu] = v
+    return basis
+
+
+def test_column_recursion_matches_bar_correction():
+    for n in (2, 3, 4):
+        for m in range(10):
+            d = canonical_upper(n, m)
+            for mu, v in _bar_correction_basis(n, m, lower=False).items():
+                assert d.column(mu) == v, (n, m, mu)
+            e = canonical_lower(n, m)
+            for lam, v in _bar_correction_basis(n, m, lower=True).items():
+                assert e.row(lam) == v, (n, m, lam)
+
+
+@pytest.mark.parametrize(
+    "mu, lam, poly, error",
+    [
+        # a[(1,1),(2)] = q - q^-1 at n=2; q alone breaks bar(A)A = I.
+        ((2,), (1, 1), P({1: 1}), NotAntisymmetricError),
+        # (2,1) is a 2-core, so it lies outside the block of (3).
+        ((3,), (2, 1), ONE, AssertionError),
+    ],
+)
+def test_broken_bar_image_fails_loudly(monkeypatch, mu, lam, poly, error):
+    real = wedge.bar_basis
+
+    def broken(p, n, k=None):
+        image = real(p, n, k)
+        if p == mu:
+            image[lam] = poly
+        return image
+
+    canonical_upper.cache_clear()
+    canonical_lower.cache_clear()
+    monkeypatch.setattr(wedge, "bar_basis", broken)
+    try:
+        with pytest.raises(error):
+            canonical_upper(2, sum(mu))
+        with pytest.raises(error):
+            canonical_lower(2, sum(mu))
+    finally:
+        canonical_upper.cache_clear()
+        canonical_lower.cache_clear()
 
 
 def test_bar_invariance_of_bases():

@@ -140,6 +140,39 @@ def test_bad_modulus_exits_2(capsys, argv):
     assert "-n" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--kind", "D", "-n", "2", "-m", "-1", "--no-cache"],
+        ["verify", "--suite", "uqsl", "-n", "2", "--max-m", "-3"],
+    ],
+)
+def test_negative_degree_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "m must be >= 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "op, bad",
+    [
+        (["bar"], [1, 3]),
+        (["bar"], [0]),
+        (["e", "--i", "1"], [1, 3]),
+    ],
+)
+def test_apply_json_vector_with_bad_partition_exits_2(capsys, op, bad):
+    doc = json.dumps([{"partition": bad, "poly": {"min": 0, "c": ["1"]}}])
+    with pytest.raises(SystemExit) as exc:
+        main(["apply", *op, "-n", "2", "--vector", doc])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(tuple(bad)) in captured.err and "Traceback" not in captured.err
+
+
 def test_apply_malformed_vector_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["apply", "f", "--i", "0", "-n", "2", "--vector", "[1,3]"])
