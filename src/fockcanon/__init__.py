@@ -39,7 +39,6 @@ from .laurent import (
     LaurentPoly,
     NonIntegralResultError,
     NotAntisymmetricError,
-    RationalLaurentPoly,
     antisym_split,
     q_int,
 )

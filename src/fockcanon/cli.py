@@ -39,7 +39,7 @@ def parse_partition(text: str):
         return check_partition(json.loads(text))
     if not text.isdigit():
         raise ValueError(f"cannot parse partition {text!r}")
-    return check_partition(int(ch) for ch in text)
+    return check_partition([int(ch) for ch in text])
 
 
 def parse_vector(text: str) -> FockVector:
@@ -47,7 +47,7 @@ def parse_vector(text: str) -> FockVector:
     stripped = text.strip()
     if stripped.startswith("["):
         doc = json.loads(stripped)
-        if doc and isinstance(doc[0], dict):
+        if doc and all(isinstance(entry, dict) for entry in doc):
             for entry in doc:
                 entry["partition"] = check_partition(entry["partition"])
             return FockVector.from_json(doc)

@@ -4,16 +4,17 @@ Basis vectors are indexed by partitions.  The Chevalley action is computed
 combinatorially on partitions; the Heisenberg generators and the bar
 involution are delegated to the wedge layer.  The ribbon operators come in
 two independent implementations: the combinatorial strip sum (v_op / u_op)
-and the exponential formula through wedge straightening with rational
-coefficients (v_op_via_heisenberg), which doubles as an oracle.
+and the exponential formula through wedge straightening (v_op_via_heisenberg),
+which doubles as an oracle.  Its rational weights 1/z_rho are scaled by k! to
+integer class sizes, so all arithmetic stays in Z[q, 1/q].
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import factorial
 
 from . import symfunc, wedge
-from .laurent import ONE, ZERO, LaurentPoly, RationalLaurentPoly
+from .laurent import ONE, ZERO, LaurentPoly, divide_exact
 from .partitions import (
     Partition,
     add_node_variants,
@@ -80,19 +81,6 @@ class FockVector:
             return FockVector()
         return FockVector({p: coeff * c for p, coeff in self.terms.items()})
 
-    def map_coeffs(self, fn) -> "FockVector":
-        return FockVector({p: fn(c) for p, c in self.terms.items()})
-
-    def integral(self) -> "FockVector":
-        """Convert rational coefficients back to Z[q,1/q], failing loudly."""
-
-        def conv(c):
-            if isinstance(c, RationalLaurentPoly):
-                return c.integral()
-            return c
-
-        return self.map_coeffs(conv)
-
     def degree(self) -> int:
         """Common size of the supporting partitions (requires homogeneity)."""
         degs = {sum(p) for p in self.terms}
@@ -128,12 +116,13 @@ class FockVector:
 
     @classmethod
     def from_json(cls, doc) -> "FockVector":
-        return cls(
-            {
-                tuple(entry["partition"]): LaurentPoly.from_json(entry["poly"])
-                for entry in doc
-            }
-        )
+        terms = {}
+        for entry in doc:
+            p = tuple(entry["partition"])
+            if p in terms:
+                raise ValueError(f"partition {p} appears more than once")
+            terms[p] = LaurentPoly.from_json(entry["poly"])
+        return cls(terms)
 
     def __repr__(self):
         return f"FockVector({self.pretty()!r})"
@@ -141,8 +130,6 @@ class FockVector:
 
 def _coeff_str(c) -> tuple[str, int]:
     """Render a coefficient for ket display; returns (body, sign)."""
-    if not isinstance(c, LaurentPoly):
-        return f"({c})", 1
     terms = list(c.terms())
     if len(terms) == 1:
         e, a = terms[0]
@@ -227,29 +214,39 @@ def u_op(k: int, v: FockVector, n: int) -> FockVector:
     return FockVector(out)
 
 
-def _b_chain(parts, v: FockVector, n: int) -> FockVector:
-    out = v
-    for r in parts:
-        out = b_action(-r, out, n)
-    return out
+def _power_sum_expansion(r: int, weight, v: FockVector, n: int) -> FockVector:
+    """(1/r!) * sum over partitions beta of r of weight(beta) * B_{-beta} v.
+
+    weight(beta) is r! times the rational coefficient of B_{-beta}, an
+    integer, so the sum stays in Z[q, 1/q]; the final division by r! is exact
+    or raises NonIntegralResultError.
+    """
+    out: dict = {}
+    for beta in partitions_of(r):
+        w = weight(beta)
+        if not w:
+            continue
+        term = v
+        for part in beta:
+            term = b_action(-part, term, n)
+        for p, c in term.items():
+            accumulate(out, p, c * w)
+    d = factorial(r)
+    return FockVector({p: divide_exact(c, d) for p, c in out.items()})
 
 
 def v_op_via_heisenberg(k: int, v: FockVector, n: int) -> FockVector:
     """Exponential-formula oracle for v_op:
     V_k = sum over partitions rho of k of B_{-rho} / z_rho.
 
-    Evaluated with rational coefficients; asserts the result is integral.
+    Evaluated as (1/k!) sum (k!/z_rho) B_{-rho}: each k!/z_rho is the size of
+    a conjugacy class of S_k, and the division by k! must be exact.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return v
-    rational = v.map_coeffs(RationalLaurentPoly.from_poly)
-    acc = FockVector()
-    for rho in partitions_of(k):
-        term = _b_chain(rho, rational, n)
-        acc = acc + term.scale(Fraction(1, symfunc.z_order(rho)))
-    return acc.integral()
+    return _power_sum_expansion(
+        k, lambda rho: factorial(k) // symfunc.z_order(rho), v, n
+    )
 
 
 def s_alpha(alpha: Partition, v: FockVector, n: int) -> FockVector:
@@ -270,17 +267,13 @@ def s_alpha_via_characters(alpha: Partition, v: FockVector, n: int) -> FockVecto
     S_alpha = sum over cycle types beta of (chi^alpha_beta / z_beta) B_{-beta}.
     """
     r = sum(alpha)
-    if r == 0:
-        return v
-    rational = v.map_coeffs(RationalLaurentPoly.from_poly)
-    acc = FockVector()
-    for beta in partitions_of(r):
-        chi = symfunc.mn_character(tuple(alpha), beta)
-        if not chi:
-            continue
-        term = _b_chain(beta, rational, n)
-        acc = acc + term.scale(Fraction(chi, symfunc.z_order(beta)))
-    return acc.integral()
+    return _power_sum_expansion(
+        r,
+        lambda beta: symfunc.mn_character(alpha, beta)
+        * (factorial(r) // symfunc.z_order(beta)),
+        v,
+        n,
+    )
 
 
 def psi_q(p: Partition, n: int) -> FockVector:

@@ -1,15 +1,15 @@
 """Exact arithmetic for Laurent polynomials in the deformation variable q.
 
-Coefficients are arbitrary precision: plain Python integers for the integral
-ring, ``fractions.Fraction`` for the rational variant that only appears inside
-exponential-formula evaluations.  Values are immutable and always kept in
-canonical form: a dense coefficient window between the lowest and highest
-nonzero exponent, the zero polynomial having an empty window.
+Coefficients are arbitrary-precision Python integers: everything lives in
+Z[q, 1/q].  Formulas with rational weights, such as the exponential formula
+for the ribbon operators, are scaled to integer weights and divided back with
+``divide_exact``.  Values are immutable and always kept in canonical form: a
+dense coefficient window between the lowest and highest nonzero exponent, the
+zero polynomial having an empty window.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
 
 
@@ -18,7 +18,7 @@ class NotAntisymmetricError(ValueError):
 
 
 class NonIntegralResultError(ValueError):
-    """A rational intermediate failed to land back in Z[q, 1/q]."""
+    """An exact division by an integer left a remainder (see divide_exact)."""
 
 
 def _trim(min_exp, coeffs):
@@ -32,14 +32,14 @@ def _trim(min_exp, coeffs):
     return min_exp + lo, tuple(coeffs[lo:hi])
 
 
-def _add_windows(amin, acoeffs, bmin, bcoeffs, zero):
+def _add_windows(amin, acoeffs, bmin, bcoeffs):
     if not acoeffs:
         return bmin, bcoeffs
     if not bcoeffs:
         return amin, acoeffs
     lo = min(amin, bmin)
     hi = max(amin + len(acoeffs), bmin + len(bcoeffs))
-    out = [zero] * (hi - lo)
+    out = [0] * (hi - lo)
     for i, c in enumerate(acoeffs):
         out[amin - lo + i] = c
     for i, c in enumerate(bcoeffs):
@@ -47,10 +47,10 @@ def _add_windows(amin, acoeffs, bmin, bcoeffs, zero):
     return _trim(lo, out)
 
 
-def _mul_windows(amin, acoeffs, bmin, bcoeffs, zero):
+def _mul_windows(amin, acoeffs, bmin, bcoeffs):
     if not acoeffs or not bcoeffs:
         return 0, ()
-    out = [zero] * (len(acoeffs) + len(bcoeffs) - 1)
+    out = [0] * (len(acoeffs) + len(bcoeffs) - 1)
     for i, a in enumerate(acoeffs):
         if not a:
             continue
@@ -97,22 +97,9 @@ class LaurentPoly:
             if c:
                 yield self.min + i, c
 
-    def coeff(self, exp: int) -> int:
-        i = exp - self.min
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
-    @property
-    def min_exp(self) -> int:
-        return self.min
-
     @property
     def max_exp(self) -> int:
         return self.min + len(self.coeffs) - 1 if self.coeffs else 0
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def eval_one(self) -> int:
         """Exact evaluation at q = 1."""
@@ -130,7 +117,7 @@ class LaurentPoly:
 
     def __add__(self, other):
         if isinstance(other, LaurentPoly):
-            m, c = _add_windows(self.min, self.coeffs, other.min, other.coeffs, 0)
+            m, c = _add_windows(self.min, self.coeffs, other.min, other.coeffs)
             return LaurentPoly(m, c)
         if isinstance(other, int):
             return self + LaurentPoly.monomial(other)
@@ -151,17 +138,13 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            m, c = _mul_windows(self.min, self.coeffs, other.min, other.coeffs, 0)
+            m, c = _mul_windows(self.min, self.coeffs, other.min, other.coeffs)
             return LaurentPoly(m, c)
         if isinstance(other, int):
             return LaurentPoly(self.min, tuple(c * other for c in self.coeffs))
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def shift(self, exp: int) -> "LaurentPoly":
-        """Multiply by the monomial q^exp."""
-        return LaurentPoly(self.min + exp, self.coeffs)
 
     def bar(self) -> "LaurentPoly":
         """Substitute q -> 1/q."""
@@ -224,7 +207,16 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LaurentPoly":
-        return cls(int(doc["min"]), tuple(int(c) for c in doc["c"]))
+        """Inverse of to_json: an int "min" and decimal-string coefficients."""
+        min_exp, coeffs = doc["min"], doc["c"]
+        if type(min_exp) is not int or type(coeffs) is not list:
+            raise ValueError(f"not a polynomial document: {doc!r}")
+        out = []
+        for c in coeffs:
+            if type(c) is not str:
+                raise ValueError(f"coefficient {c!r} is not a decimal string")
+            out.append(int(c))
+        return cls(min_exp, out)
 
 
 ZERO = LaurentPoly()
@@ -242,6 +234,21 @@ def q_int(n: int) -> LaurentPoly:
     return LaurentPoly(-(n - 1), (1, 0) * (n - 1) + (1,))
 
 
+def divide_exact(p: LaurentPoly, d: int) -> LaurentPoly:
+    """The quotient p / d in Z[q, 1/q] for a positive integer d.
+
+    Raises NonIntegralResultError when a coefficient of p is not a multiple
+    of d, which signals a wrong integer weight upstream.
+    """
+    out = []
+    for c in p.coeffs:
+        quo, rem = divmod(c, d)
+        if rem:
+            raise NonIntegralResultError(f"{p} is not divisible by {d}")
+        out.append(quo)
+    return LaurentPoly(p.min, out)
+
+
 def antisym_split(p: LaurentPoly) -> dict[int, int]:
     """Decompose a bar-antisymmetric polynomial as sum r_j (q^j - q^-j).
 
@@ -252,99 +259,3 @@ def antisym_split(p: LaurentPoly) -> dict[int, int]:
         raise NotAntisymmetricError(f"not antisymmetric under q -> 1/q: {p}")
     return {e: c for e, c in p.terms() if e > 0}
 
-
-class RationalLaurentPoly:
-    """Laurent polynomial with Fraction coefficients.
-
-    Quarantined to the exponential-formula oracles; every computation that
-    ends in the integral ring must go through :meth:`integral`, which fails
-    loudly on a non-unit denominator.
-    """
-
-    __slots__ = ("min", "coeffs")
-
-    _FZERO = Fraction(0)
-
-    def __init__(self, min_exp: int = 0, coeffs=()):
-        m, c = _trim(min_exp, tuple(Fraction(x) for x in coeffs))
-        object.__setattr__(self, "min", m)
-        object.__setattr__(self, "coeffs", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalLaurentPoly is immutable")
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RationalLaurentPoly":
-        return cls(p.min, p.coeffs)
-
-    def terms(self):
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield self.min + i, c
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        m, c = _add_windows(self.min, self.coeffs, other.min, other.coeffs, self._FZERO)
-        return RationalLaurentPoly(m, c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalLaurentPoly(self.min, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Fraction):
-            return RationalLaurentPoly(self.min, tuple(c * other for c in self.coeffs))
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        m, c = _mul_windows(self.min, self.coeffs, other.min, other.coeffs, self._FZERO)
-        return RationalLaurentPoly(m, c)
-
-    __rmul__ = __mul__
-
-    @classmethod
-    def _coerce(cls, other):
-        if isinstance(other, RationalLaurentPoly):
-            return other
-        if isinstance(other, LaurentPoly):
-            return cls.from_poly(other)
-        if isinstance(other, (int, Fraction)):
-            return cls(0, (other,))
-        return NotImplemented
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.min == other.min and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.min, self.coeffs))
-
-    def integral(self) -> LaurentPoly:
-        """Convert back to Z[q,1/q]; raise NonIntegralResultError otherwise."""
-        out = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise NonIntegralResultError(f"non-integral coefficient {c}")
-            out.append(c.numerator)
-        return LaurentPoly(self.min, out)
-
-    def __repr__(self):
-        body = " + ".join(f"({c})q^{e}" for e, c in self.terms()) or "0"
-        return f"RationalLaurentPoly({body})"

@@ -32,8 +32,13 @@ class NotTileableError(ValueError):
 
 
 def check_partition(parts) -> Partition:
-    """Validate and normalize an iterable of parts into a Partition."""
-    p = tuple(int(x) for x in parts)
+    """Validate a list or tuple of parts into a Partition: positive ints (not
+    bools, floats or strings), weakly decreasing."""
+    if type(parts) not in (list, tuple):
+        raise ValueError(f"a partition is a list of parts, not {parts!r}")
+    p = tuple(parts)
+    if any(type(x) is not int for x in p):
+        raise ValueError(f"parts must be integers: {p}")
     if any(x <= 0 for x in p):
         raise ValueError(f"parts must be positive: {p}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):

@@ -161,16 +161,47 @@ def test_negative_degree_exits_2(capsys, argv):
         (["bar"], [1, 3]),
         (["bar"], [0]),
         (["e", "--i", "1"], [1, 3]),
+        (["bar"], [2.7]),
+        (["bar"], [True]),
+        (["bar"], ["2"]),
+        (["bar"], [[2]]),
     ],
 )
 def test_apply_json_vector_with_bad_partition_exits_2(capsys, op, bad):
     doc = json.dumps([{"partition": bad, "poly": {"min": 0, "c": ["1"]}}])
+    for vector in (doc, json.dumps(bad)):
+        with pytest.raises(SystemExit) as exc:
+            main(["apply", *op, "-n", "2", "--vector", vector])
+        assert exc.value.code == 2, vector
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(tuple(bad)) in captured.err and "Traceback" not in captured.err
+
+
+def _poly(min_exp, coeffs):
+    return {"min": min_exp, "c": coeffs}
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ([{"partition": [2], "poly": _poly(0, ["1"])},
+          {"partition": [2], "poly": _poly(1, ["1"])}], "(2,)"),
+        ([{"partition": [2], "poly": _poly(0.5, ["1"])}], "0.5"),
+        ([{"partition": [2], "poly": _poly(0, [1.5])}], "1.5"),
+        ([{"partition": 2, "poly": _poly(0, ["1"])}], "not 2"),
+        ([{"partition": [2], "poly": _poly(0, ["1"])}, 3], "3)"),
+    ],
+    ids=["repeated-partition", "fractional-min", "numeric-coefficient", "bare-part",
+         "mixed-entries"],
+)
+def test_apply_bad_json_document_exits_2(capsys, doc, named):
     with pytest.raises(SystemExit) as exc:
-        main(["apply", *op, "-n", "2", "--vector", doc])
+        main(["apply", "bar", "-n", "2", "--vector", json.dumps(doc)])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert str(tuple(bad)) in captured.err and "Traceback" not in captured.err
+    assert named in captured.err and "Traceback" not in captured.err
 
 
 def test_apply_malformed_vector_exits_2():

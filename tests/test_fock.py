@@ -1,8 +1,8 @@
 import pytest
 
-from fockcanon import fock
+from fockcanon import fock, symfunc
 from fockcanon.fock import FockVector
-from fockcanon.laurent import LaurentPoly, ZERO, q_int
+from fockcanon.laurent import LaurentPoly, NonIntegralResultError, ZERO, q_int
 from fockcanon.partitions import partitions_of
 
 P = LaurentPoly.from_terms
@@ -128,6 +128,19 @@ def test_s_alpha_character_oracle():
                         v = basis(lam)
                         assert fock.s_alpha(alpha, v, n) == \
                             fock.s_alpha_via_characters(alpha, v, n)
+
+
+def test_character_oracle_fails_loudly_on_wrong_characters(monkeypatch):
+    # chi = 1 on (1^r) and 0 elsewhere leaves (1/r!) B_{-1}^r, which is not
+    # integral: the exact division must raise instead of truncating.
+    def wrong_character(alpha, beta):
+        return 1 if beta == (1,) * sum(alpha) else 0
+
+    monkeypatch.setattr(symfunc, "mn_character", wrong_character)
+    for n in (2, 3):
+        for alpha in ((2,), (1, 1), (2, 1), (3,)):
+            with pytest.raises(NonIntegralResultError):
+                fock.s_alpha_via_characters(alpha, basis(()), n)
 
 
 def test_psi_q_examples():

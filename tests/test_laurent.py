@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import fockcanon
 from fockcanon.laurent import (
     ONE,
     Q,
@@ -9,8 +13,8 @@ from fockcanon.laurent import (
     LaurentPoly,
     NonIntegralResultError,
     NotAntisymmetricError,
-    RationalLaurentPoly,
     antisym_split,
+    divide_exact,
     q_int,
 )
 
@@ -131,18 +135,47 @@ def test_ring_membership_helpers():
     assert ZERO.in_positive_ring() and ZERO.in_negative_ring()
 
 
-def test_rational_quarantine():
-    from fractions import Fraction
+def test_json_rejects_non_integer_fields():
+    for doc in (
+        {"min": 0.5, "c": ["1"]},
+        {"min": True, "c": ["1"]},
+        {"min": "0", "c": ["1"]},
+        {"min": 0, "c": [1.5]},
+        {"min": 0, "c": [1]},
+        {"min": 0, "c": "12"},
+    ):
+        with pytest.raises(ValueError):
+            LaurentPoly.from_json(doc)
 
-    r = RationalLaurentPoly.from_poly(P({0: 1})) * Fraction(1, 2)
+
+def test_divide_exact_quotient():
+    p = P({3: -6, 0: 12, -2: -18})
+    assert divide_exact(p, 6) == P({3: -1, 0: 2, -2: -3})
+    assert divide_exact(p, 1) == p
+    assert divide_exact(ZERO, 24) == ZERO
+
+
+def test_divide_exact_remainder_raises():
     with pytest.raises(NonIntegralResultError):
-        r.integral()
-    assert (r + r).integral() == ONE
+        divide_exact(P({1: 4, -1: -3}), 2)
+    with pytest.raises(NonIntegralResultError):
+        divide_exact(P({0: -1}), 2)
 
 
-def test_rational_mixed_arithmetic():
-    from fractions import Fraction
+@given(small_polys, st.integers(1, 30))
+def test_divide_exact_inverts_scaling(p, d):
+    assert divide_exact(p * d, d) == p
 
-    r = RationalLaurentPoly.from_poly(P({1: 1})) * P({-1: 1})
-    assert r.integral() == ONE
-    assert (r * Fraction(3, 2) * Fraction(2, 3)).integral() == ONE
+
+def test_one_integer_ring():
+    """No second coefficient ring: nothing in the package imports fractions."""
+    for path in Path(fockcanon.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert "fractions" not in {m.split(".")[0] for m in modules}, path
+    assert not hasattr(fockcanon, "RationalLaurentPoly")
