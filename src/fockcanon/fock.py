@@ -298,8 +298,8 @@ def inner_product(u: FockVector, v: FockVector) -> LaurentPoly:
 # -- bar involution -----------------------------------------------------------
 
 
-def bar_basis_vector(p: Partition, n: int, k: int | None = None) -> FockVector:
-    return FockVector(wedge.bar_basis(tuple(p), n, k))
+def bar_basis_vector(p: Partition, n: int) -> FockVector:
+    return FockVector(wedge.bar_basis(tuple(p), n))
 
 
 def bar(v: FockVector, n: int) -> FockVector:

@@ -208,6 +208,8 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, doc: dict) -> "LaurentPoly":
         """Inverse of to_json: an int "min" and decimal-string coefficients."""
+        if type(doc) is not dict:
+            raise ValueError(f"not a polynomial document: {doc!r}")
         min_exp, coeffs = doc["min"], doc["c"]
         if type(min_exp) is not int or type(coeffs) is not list:
             raise ValueError(f"not a polynomial document: {doc!r}")

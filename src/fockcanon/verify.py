@@ -167,6 +167,14 @@ def run_tables(n: int = 2, max_m: int = 6) -> Report:
 
 
 def run_involution(n: int, max_m: int) -> Report:
+    """bar^2 = id, bar(A)A = I, conjugation symmetry, and bar commuting with
+    f_i and B_-k.
+
+    wedge.bar_basis builds most bar images from bar(f_i v) = f_i bar(v), so
+    the f_i commutation holds partly by construction here; the independent
+    check is tests/test_wedge.py::test_bar_recursion_matches_straightening,
+    which compares those images with word reversal and straightening.
+    """
     rep = Report("involution")
     for m in range(max_m + 1):
         ok = True

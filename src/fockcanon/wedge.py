@@ -8,13 +8,25 @@ straightening goes through the kernel in ``_straighten_py``.
 A WedgeVector is a plain dict mapping normally ordered words to LaurentPoly
 coefficients; bar images of basis vectors come out keyed by partitions so the
 bosonic layer can consume them directly.
+
+Bar images come from bar(f_i v) = f_i bar(v): a partition reached by a
+Chevalley step f_i from one degree lower, with every other term of that step
+lex-smaller, gets its image from images already built.  Only the rest, such
+as (2,2) for n=2 or (3,3,3,1) for n=3, are straightened by word reversal.
 """
 
 from __future__ import annotations
 
 from . import _straighten_py as _kernel
-from .laurent import LaurentPoly
-from .partitions import Partition
+from .laurent import ONE, LaurentPoly
+from .partitions import (
+    Partition,
+    add_node_variants,
+    addable_cells,
+    cell_residue,
+    removable_cells,
+    revlex_index,
+)
 
 
 def backend() -> str:
@@ -77,11 +89,12 @@ def word_str(w: Word) -> str:
 
 
 _straighten_cache: dict[tuple[int, Word], tuple] = {}
+_bar_images: dict[tuple[int, Partition], dict[Partition, LaurentPoly]] = {}
 
 
 def clear_caches() -> None:
     _straighten_cache.clear()
-    _bar_cache.clear()
+    _bar_images.clear()
 
 
 def _straighten_minimal(w: Word, n: int) -> tuple:
@@ -143,11 +156,10 @@ def b_action_words(k: int, wv: dict, n: int) -> dict:
     return out
 
 
-_bar_cache: dict[tuple[int, Partition, int], tuple] = {}
-
-
-def bar_basis(p: Partition, n: int, k: int | None = None) -> dict[Partition, LaurentPoly]:
-    """Bar involution of the basis vector of p, expanded over partitions.
+def _bar_by_straightening(
+    p: Partition, n: int, k: int | None = None
+) -> dict[Partition, LaurentPoly]:
+    """Bar involution of the basis vector of p by word reversal.
 
     Reverses the first k head entries (k >= |p|, default max(|p|, 1)) and
     multiplies by (-1)^C(k,2) q^a where a counts the pairs r < s <= k with
@@ -158,20 +170,83 @@ def bar_basis(p: Partition, n: int, k: int | None = None) -> dict[Partition, Lau
         k = max(m, 1)
     if k < max(m, 1):
         raise ValueError(f"need k >= max(|p|, 1) = {max(m, 1)}")
-    key = (n, p, k)
-    hit = _bar_cache.get(key)
-    if hit is None:
-        word = partition_to_word(p, k)
-        alpha = 0
-        for r in range(k):
-            for s in range(r + 1, k):
-                if (word[r] - word[s]) % n:
-                    alpha += 1
-        sign = -1 if (k * (k - 1) // 2) % 2 else 1
-        pref = LaurentPoly.monomial(sign, alpha)
-        terms = []
-        for res, poly in _straighten_minimal(minimal_head(word[::-1]), n):
-            terms.append((word_to_partition(res), pref * poly))
-        hit = tuple(terms)
-        _bar_cache[key] = hit
-    return dict(hit)
+    word = partition_to_word(p, k)
+    alpha = 0
+    for r in range(k):
+        for s in range(r + 1, k):
+            if (word[r] - word[s]) % n:
+                alpha += 1
+    sign = -1 if (k * (k - 1) // 2) % 2 else 1
+    pref = LaurentPoly.monomial(sign, alpha)
+    return {
+        word_to_partition(res): pref * poly
+        for res, poly in _straighten_minimal(minimal_head(word[::-1]), n)
+    }
+
+
+def _f_step(lam: Partition, n: int) -> tuple[int, Partition] | None:
+    """(i, mu) with lam = mu + b for the first removable node b, top to
+    bottom, whose residue i has no addable i-node of lam in a row above b;
+    None when there is no such node."""
+    addable = addable_cells(lam)
+    for row, col in removable_cells(lam):
+        i = cell_residue((row, col), n)
+        if all(a[0] > row or cell_residue(a, n) != i for a in addable):
+            mu = lam[: row - 1] + (col - 1,) + lam[row:]
+            return i, mu if col > 1 else mu[:-1]
+    return None
+
+
+def _f_column(
+    lam: Partition, n: int, i: int, mu: Partition, e: int, others: dict
+) -> dict[Partition, LaurentPoly]:
+    """bar|lam> = q^e (f_i bar|mu> - sum_a q^{-e_a} bar|lam-b+a>).
+
+    lam = mu + b as in _f_step, and f_i|mu> = q^e|lam> + sum_a q^{e_a}|lam-b+a>
+    over the addable i-nodes a of lam (``others`` maps lam-b+a to e_a); all of
+    them lie below b, so every lam-b+a is lex-smaller than lam.  Every image
+    used must already be in _bar_images.
+    """
+    col: dict[Partition, LaurentPoly] = {}
+    for nu, c in _bar_images[(n, mu)].items():
+        for target, e_nu, _ in add_node_variants(nu, i, n):
+            accumulate(col, target, c * LaurentPoly.monomial(1, e + e_nu))
+    for target, e_a in others.items():
+        scale = LaurentPoly.monomial(-1, e - e_a)
+        for nu, c in _bar_images[(n, target)].items():
+            accumulate(col, nu, c * scale)
+    rank = revlex_index(sum(lam))
+    if col.get(lam) != ONE or any(rank[nu] < rank[lam] for nu in col):
+        raise AssertionError(f"bar|{lam}> built through f_{i} is not unitriangular")
+    return col
+
+
+def bar_basis(p: Partition, n: int) -> dict[Partition, LaurentPoly]:
+    """Bar involution of the basis vector of p, expanded over partitions.
+
+    Built through bar(f_i v) = f_i bar(v) from images one degree lower and
+    lex-smaller images of the same degree (_f_column), which are built first
+    on an explicit stack.  Only the partitions that no f_i step reaches, such
+    as (2,2) and (6,6) for n=2, are straightened by word reversal
+    (_bar_by_straightening).
+    """
+    pending = [p]
+    while pending:
+        lam = pending[-1]
+        if (n, lam) in _bar_images:
+            pending.pop()
+            continue
+        step = _f_step(lam, n)
+        if step is None:
+            # no f_i step reaches lam; bar fixes the vacuum
+            _bar_images[(n, lam)] = _bar_by_straightening(lam, n) if lam else {(): ONE}
+            continue
+        i, mu = step
+        others = {target: e_a for target, e_a, _ in add_node_variants(mu, i, n)}
+        e = others.pop(lam)
+        missing = [nu for nu in (mu, *others) if (n, nu) not in _bar_images]
+        if missing:
+            pending += missing
+        else:
+            _bar_images[(n, lam)] = _f_column(lam, n, i, mu, e, others)
+    return dict(_bar_images[(n, p)])

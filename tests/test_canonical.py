@@ -127,8 +127,8 @@ def test_column_recursion_matches_bar_correction():
 def test_broken_bar_image_fails_loudly(monkeypatch, mu, lam, poly, error):
     real = wedge.bar_basis
 
-    def broken(p, n, k=None):
-        image = real(p, n, k)
+    def broken(p, n):
+        image = real(p, n)
         if p == mu:
             image[lam] = poly
         return image

@@ -191,9 +191,11 @@ def _poly(min_exp, coeffs):
         ([{"partition": [2], "poly": _poly(0, [1.5])}], "1.5"),
         ([{"partition": 2, "poly": _poly(0, ["1"])}], "not 2"),
         ([{"partition": [2], "poly": _poly(0, ["1"])}, 3], "3)"),
+        ([{"partition": [2], "poly": 3}], "document: 3"),
+        ([{"partition": [2], "poly": None}], "document: None"),
     ],
     ids=["repeated-partition", "fractional-min", "numeric-coefficient", "bare-part",
-         "mixed-entries"],
+         "mixed-entries", "numeric-poly", "null-poly"],
 )
 def test_apply_bad_json_document_exits_2(capsys, doc, named):
     with pytest.raises(SystemExit) as exc:

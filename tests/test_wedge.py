@@ -1,6 +1,6 @@
 import pytest
 
-from fockcanon import wedge
+from fockcanon import canonical, wedge
 from fockcanon.wedge import _kernel
 from fockcanon.laurent import LaurentPoly
 from fockcanon.partitions import partitions_of
@@ -119,14 +119,80 @@ def test_bar_basis_k_independence():
         for m in range(7):
             for lam in partitions_of(m):
                 k0 = max(m, 1)
-                base = wedge.bar_basis(lam, n, k0)
-                assert wedge.bar_basis(lam, n, k0 + 1) == base
-                assert wedge.bar_basis(lam, n, k0 + 2) == base
+                base = wedge._bar_by_straightening(lam, n, k0)
+                assert wedge._bar_by_straightening(lam, n, k0 + 1) == base
+                assert wedge._bar_by_straightening(lam, n, k0 + 2) == base
 
 
 def test_bar_basis_k_too_small():
     with pytest.raises(ValueError):
-        wedge.bar_basis((2, 1), 2, 2)
+        wedge._bar_by_straightening((2, 1), 2, 2)
+
+
+def _recursion_mismatches(ns, max_m) -> list:
+    """(n, lam) whose bar image built through f_i differs from straightening."""
+    wedge.clear_caches()
+    try:
+        return [
+            (n, lam)
+            for n in ns
+            for m in range(max_m + 1)
+            for lam in partitions_of(m)
+            if wedge.bar_basis(lam, n) != wedge._bar_by_straightening(lam, n)
+        ]
+    finally:
+        wedge.clear_caches()
+
+
+def test_bar_recursion_matches_straightening():
+    # The only independent check of the f_i recursion: exponents negated in
+    # the f_i step still give unitriangular columns and pass the recursion's
+    # own check, but change bar images (see test_broken_f_step_is_caught).
+    assert _recursion_mismatches((2, 3, 4), 9) == []
+
+
+def test_f_step_fallback_partitions():
+    fallback = [lam for lam in partitions_of(4) if wedge._f_step(lam, 2) is None]
+    assert fallback == [(2, 2), (1, 1, 1, 1)]
+    assert wedge._f_step((6, 6), 2) is None
+    assert wedge._f_step((3, 3, 3, 1), 3) is None
+    assert wedge._f_step((2, 1), 2) == (1, (1, 1))
+
+
+@pytest.mark.parametrize("name", ["shifted", "negated"])
+def test_broken_f_step_is_caught(monkeypatch, name):
+    real = wedge.add_node_variants
+
+    def broken(p, i, n):
+        return [
+            (mu, n_r + 1 if name == "shifted" else -n_r, n_l)
+            for mu, n_r, n_l in real(p, i, n)
+        ]
+
+    monkeypatch.setattr(wedge, "add_node_variants", broken)
+    if name == "shifted":
+        # N_i^r + 1 breaks the unit diagonal, which the recursion checks
+        with pytest.raises(AssertionError, match=r"bar\|\("):
+            _recursion_mismatches((2, 3), 7)
+    else:
+        assert _recursion_mismatches((2, 3), 7)
+
+
+def test_clear_caches_makes_bar_images_cold(monkeypatch):
+    canonical.a_matrix(2, 6)
+    assert (2, (6,)) in wedge._bar_images
+    wedge.clear_caches()
+    assert wedge._bar_images == {}
+    calls = []
+    real = wedge._kernel.straighten_terms
+
+    def counted(terms, n):
+        calls.append(n)
+        return real(terms, n)
+
+    monkeypatch.setattr(wedge._kernel, "straighten_terms", counted)
+    canonical.a_matrix(2, 6)
+    assert calls
 
 
 def _add(acc: dict, w, c) -> None:
