@@ -64,7 +64,6 @@ from .partitions import (
 from .wedge import (
     KTooSmallError,
     NotNormallyOrderedError,
-    backend,
     bar_basis,
     partition_to_word,
     straighten,

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import heapq
 
-BACKEND = "python"
-
 _EXPANSION_CACHE: dict[tuple[int, int, int], tuple] = {}
 
 

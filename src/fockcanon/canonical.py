@@ -79,13 +79,7 @@ class TransitionMatrix:
             by_row.setdefault(r, []).append((c, v))
         for (r, mid), v in self.entries.items():
             for c, w in by_row.get(mid, ()):
-                key = (r, c)
-                cur = out.get(key)
-                val = v * w if cur is None else cur + v * w
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
+                accumulate(out, (r, c), v * w)
         return TransitionMatrix("?", self.n, self.m, self.order, out)
 
     def is_identity(self) -> bool:

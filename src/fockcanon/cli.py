@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from . import fock, matrixio, verify, wedge
+from . import fock, matrixio, verify
 from .canonical import (
     TransitionMatrix,
     a_matrix,
@@ -24,7 +24,7 @@ from .canonical import (
     canonical_upper,
 )
 from .fock import FockVector
-from .partitions import check_partition
+from .partitions import check_partition, n_core_quotient
 
 DEFAULT_CACHE_DIR = ".fock-cache"
 CACHE_ENV = "FOCK_CANON_CACHE"
@@ -88,6 +88,13 @@ def compute_matrix(kind: str, n: int, m: int) -> TransitionMatrix:
 
 
 def _cmd_matrix(args) -> int:
+    block = None
+    if args.block is not None:
+        # the n-core b has a block in degree m iff n divides m - |b| >= 0
+        block = parse_partition(args.block)
+        rest = args.m - sum(block)
+        if n_core_quotient(block, args.n)[0] != block or rest < 0 or rest % args.n:
+            raise ValueError(f"no {args.n}-core block {list(block)} in degree {args.m}")
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV) or DEFAULT_CACHE_DIR
     mat = None
     if not args.no_cache:
@@ -99,7 +106,6 @@ def _cmd_matrix(args) -> int:
         mat = compute_matrix(args.kind, args.n, args.m)
         if not args.no_cache:
             matrixio.cache_store(cache_dir, mat)
-    block = parse_partition(args.block) if args.block is not None else None
     sys.stdout.write(matrixio.render(mat, args.format, block))
     return 0
 
@@ -147,11 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fock-canon",
         description="Canonical bases of the q-deformed Fock space, exactly.",
     )
-    parser.add_argument(
-        "--backend-info",
-        action="store_true",
-        help="print the active straightening kernel and exit",
-    )
     sub = parser.add_subparsers(dest="command")
 
     p_matrix = sub.add_parser("matrix", help="compute and print a transition matrix")
@@ -163,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_matrix.add_argument(
         "--block", default=None, metavar="CORE",
-        help="restrict rows/columns to partitions with this n-core",
+        help="restrict the csv, latex and pretty output to the partitions with "
+        "this n-core; the json document always holds the whole degree",
     )
     p_matrix.add_argument(
         "--cache-dir", default=None,
@@ -191,9 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.backend_info:
-        print(f"straightening kernel: {wedge.backend()}")
-        return 0
     if args.command is None:
         parser.print_help()
         return 2

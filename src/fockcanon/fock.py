@@ -48,10 +48,6 @@ class FockVector:
     def basis(cls, p: Partition) -> "FockVector":
         return cls({tuple(p): ONE})
 
-    @classmethod
-    def zero(cls) -> "FockVector":
-        return cls()
-
     def items(self):
         return self.terms.items()
 
@@ -145,13 +141,18 @@ def _coeff_str(c) -> tuple[str, int]:
 # -- Chevalley action ---------------------------------------------------------
 
 
-def f_action(i: int, v: FockVector, n: int) -> FockVector:
-    """Node-adding generator: f_i |lam> = sum q^{N_i^r} |mu>."""
+def _node_action(variants, sign: int, i: int, v: FockVector, n: int) -> FockVector:
+    """sum over (p, c) in v and (nu, N, _) in variants(p, i, n) of c q^{sign N} |nu>."""
     out: dict = {}
     for p, c in v.items():
-        for mu, n_r, _ in add_node_variants(p, i, n):
-            accumulate(out, mu, c * LaurentPoly.monomial(1, n_r))
+        for nu, count, _ in variants(p, i, n):
+            accumulate(out, nu, c * LaurentPoly.monomial(1, sign * count))
     return FockVector(out)
+
+
+def f_action(i: int, v: FockVector, n: int) -> FockVector:
+    """Node-adding generator: f_i |lam> = sum q^{N_i^r} |mu>."""
+    return _node_action(add_node_variants, 1, i, v, n)
 
 
 def e_action(i: int, v: FockVector, n: int) -> FockVector:
@@ -160,11 +161,7 @@ def e_action(i: int, v: FockVector, n: int) -> FockVector:
     The exponent is the negative of the left count; the positive variant
     fails the quantum Serre commutator with f_i.
     """
-    out: dict = {}
-    for p, c in v.items():
-        for lam, n_l, _ in remove_node_variants(p, i, n):
-            accumulate(out, lam, c * LaurentPoly.monomial(1, -n_l))
-    return FockVector(out)
+    return _node_action(remove_node_variants, -1, i, v, n)
 
 
 def weight_exponents(p: Partition, n: int) -> tuple[tuple[int, ...], int]:
@@ -185,52 +182,59 @@ def b_action(k: int, v: FockVector, n: int) -> FockVector:
     return FockVector({wedge.word_to_partition(w): c for w, c in out.items()})
 
 
-def v_op(k: int, v: FockVector, n: int) -> FockVector:
-    """Ribbon analogue of multiplication by the degree-k complete function:
-    V_k |lam> = sum (-1)^h q^{-h} |mu> over horizontal strips of weight k."""
+def _strip_action(strips, above: bool, k: int, v: FockVector, n: int) -> FockVector:
+    """sum over (p, c) in v and the strips of strips(p, n, k) of
+    c (-1)^h q^{-h} at the strip's target (above) or source (below)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     out: dict = {}
     for p, c in v.items():
-        for strip in ribbon_strips_above(p, n, k):
+        for strip in strips(p, n, k):
             coeff = c * LaurentPoly.monomial(
                 -1 if strip.height % 2 else 1, -strip.height
             )
-            accumulate(out, strip.target, coeff)
+            accumulate(out, strip.target if above else strip.source, coeff)
     return FockVector(out)
+
+
+def v_op(k: int, v: FockVector, n: int) -> FockVector:
+    """Ribbon analogue of multiplication by the degree-k complete function:
+    V_k |lam> = sum (-1)^h q^{-h} |mu> over horizontal strips of weight k."""
+    return _strip_action(ribbon_strips_above, True, k, v, n)
 
 
 def u_op(k: int, v: FockVector, n: int) -> FockVector:
     """Adjoint of v_op: strip removal with the same signed coefficients."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    return _strip_action(ribbon_strips_below, False, k, v, n)
+
+
+def _chain_sum(chains, op, v: FockVector, n: int) -> FockVector:
+    """sum over (parts, weight) in chains of weight * op(parts[-1], ...
+    op(parts[0], v)); chains of weight 0 are not applied."""
     out: dict = {}
-    for p, c in v.items():
-        for strip in ribbon_strips_below(p, n, k):
-            coeff = c * LaurentPoly.monomial(
-                -1 if strip.height % 2 else 1, -strip.height
-            )
-            accumulate(out, strip.source, coeff)
+    for parts, weight in chains:
+        if not weight:
+            continue
+        term = v
+        for part in parts:
+            term = op(part, term, n)
+        for p, c in term.items():
+            accumulate(out, p, c * weight)
     return FockVector(out)
 
 
 def _power_sum_expansion(r: int, weight, v: FockVector, n: int) -> FockVector:
-    """(1/r!) * sum over partitions beta of r of weight(beta) * B_{-beta} v.
+    """(1/r!) * sum over partitions beta of r of weight(beta) * B_{-beta} v,
+    applying B_{-beta_1} first.
 
     weight(beta) is r! times the rational coefficient of B_{-beta}, an
     integer, so the sum stays in Z[q, 1/q]; the final division by r! is exact
     or raises NonIntegralResultError.
     """
-    out: dict = {}
-    for beta in partitions_of(r):
-        w = weight(beta)
-        if not w:
-            continue
-        term = v
-        for part in beta:
-            term = b_action(-part, term, n)
-        for p, c in term.items():
-            accumulate(out, p, c * w)
+    chains = (
+        (tuple(-part for part in beta), weight(beta)) for beta in partitions_of(r)
+    )
+    out = _chain_sum(chains, b_action, v, n)
     d = factorial(r)
     return FockVector({p: divide_exact(c, d) for p, c in out.items()})
 
@@ -252,14 +256,10 @@ def v_op_via_heisenberg(k: int, v: FockVector, n: int) -> FockVector:
 def s_alpha(alpha: Partition, v: FockVector, n: int) -> FockVector:
     """Ribbon analogue of multiplication by the Schur function s_alpha,
     via the inverse Kostka expansion s_alpha = sum kappa_mu h_mu."""
-    out: dict = {}
-    for mu, kappa in symfunc.schur_to_h(tuple(alpha)).items():
-        term = v
-        for part in reversed(mu):
-            term = v_op(part, term, n)
-        for p, c in term.items():
-            accumulate(out, p, c * kappa)
-    return FockVector(out)
+    chains = (
+        (reversed(mu), kappa) for mu, kappa in symfunc.schur_to_h(tuple(alpha)).items()
+    )
+    return _chain_sum(chains, v_op, v, n)
 
 
 def s_alpha_via_characters(alpha: Partition, v: FockVector, n: int) -> FockVector:
@@ -278,10 +278,7 @@ def s_alpha_via_characters(alpha: Partition, v: FockVector, n: int) -> FockVecto
 
 def psi_q(p: Partition, n: int) -> FockVector:
     """Highest-weight vector V_{p_1} V_{p_2} ... V_{p_r} |0>."""
-    out = FockVector.basis(())
-    for part in reversed(p):
-        out = v_op(part, out, n)
-    return out
+    return _chain_sum([(reversed(p), 1)], v_op, FockVector.basis(()), n)
 
 
 def inner_product(u: FockVector, v: FockVector) -> LaurentPoly:

@@ -50,8 +50,14 @@ def matrix_from_doc(doc: dict) -> TransitionMatrix:
     if order != revlex_order(int(doc["m"])):
         raise SchemaMismatchError("order is not the revlex partition list")
     entries = {}
+    last = (0, -1)  # strictly increasing from here keeps every row index >= 0
     for ri, ci, poly in doc["entries"]:
-        entries[(order[ri], order[ci])] = LaurentPoly.from_json(poly)
+        value = LaurentPoly.from_json(poly)
+        key = (ri, ci)
+        if key <= last or ci < 0 or not value.coeffs:
+            raise SchemaMismatchError(f"entry {list(key)} is zero or out of order")
+        last = key
+        entries[(order[ri], order[ci])] = value
     return TransitionMatrix(doc["kind"], int(doc["n"]), int(doc["m"]), order, entries)
 
 

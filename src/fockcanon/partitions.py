@@ -17,6 +17,7 @@ same operators, see the fock module).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -44,10 +45,6 @@ def check_partition(parts) -> Partition:
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise ValueError(f"parts must be weakly decreasing: {p}")
     return p
-
-
-def size(p: Partition) -> int:
-    return sum(p)
 
 
 def conjugate(p: Partition) -> Partition:
@@ -343,12 +340,14 @@ def _horizontal_strips_below(q: Partition, total: int):
     yield from rec(0, total, [])
 
 
-def _compositions(total: int, bins: int):
-    if bins == 1:
-        yield (total,)
+def _compositions(total: int, caps: list[int]):
+    """Tuples of nonnegative integers summing to total, entry r <= caps[r]."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, bins - 1):
+    for first in range(min(total, caps[0]) + 1):
+        for rest in _compositions(total - first, caps[1:]):
             yield (first,) + rest
 
 
@@ -375,80 +374,50 @@ def _crossings(intervals_by_runner: list[list[tuple[int, int]]], n: int) -> int:
     return h
 
 
-def _strip_candidates(p: Partition, n: int, k: int, above: bool):
-    slots = _norm_slots(p, n, extra=k)
-    rows = _runner_rows(p, n, slots)
-    quots = [_rows_to_quotient(r) for r in rows]
+def _ribbon_strips(p: Partition, n: int, k: int, above: bool) -> list[RibbonStrip]:
+    """All horizontal n-ribbon strips of weight k growing out of p (above) or
+    inside p (below): each quotient component grows or shrinks by an
+    ordinary horizontal strip, the sizes given by a composition of k."""
+    if n < 2 or k < 0:
+        raise ValueError("need n >= 2 and k >= 0")
+    if k == 0:
+        return [RibbonStrip(p, p, n, 0, 0)]
+    rows = _runner_rows(p, n, _norm_slots(p, n, extra=k))
     counts = [len(r) for r in rows]
-    results = []
-    for comp in _compositions(k, n):
-        choices = []
-        ok = True
-        for r in range(n):
-            if above:
-                opts = list(_horizontal_strips_above(quots[r], comp[r], counts[r]))
-            else:
-                opts = list(_horizontal_strips_below(quots[r], comp[r]))
-            if not opts:
-                ok = False
-                break
-            choices.append(opts)
-        if not ok:
-            continue
-
-        def build(r, picked):
-            if r == n:
-                results.append(tuple(picked))
-                return
-            for opt in choices[r]:
-                build(r + 1, picked + [opt])
-
-        build(0, [])
-    return slots, rows, quots, counts, results
-
-
-def _strip_from_quotients(
-    p: Partition, n: int, k: int, rows, counts, new_quots, above: bool
-) -> RibbonStrip:
-    intervals: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    beta = []
-    for r in range(n):
-        new_rows = _quotient_to_rows(new_quots[r], counts[r])
-        for old, new in zip(rows[r], new_rows):
-            lo, hi = (old, new) if above else (new, old)
-            intervals[r].append((r + n * lo, r + n * hi))
-        beta.extend(r + n * row for row in new_rows)
-    other = partition_from_beta(beta)
-    h = _crossings(intervals, n)
-    if above:
-        return RibbonStrip(p, other, n, k, h)
-    return RibbonStrip(other, p, n, k, h)
+    quots = [_rows_to_quotient(r) for r in rows]
+    strips = []
+    # a horizontal strip removed from q has at most q_1 boxes
+    caps = [k] * n if above else [q[0] if q else 0 for q in quots]
+    for comp in _compositions(k, caps):
+        choices = [
+            _horizontal_strips_above(quots[r], comp[r], counts[r])
+            if above
+            else _horizontal_strips_below(quots[r], comp[r])
+            for r in range(n)
+        ]
+        for new_quots in product(*choices):
+            intervals: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+            beta = []
+            for r in range(n):
+                new_rows = _quotient_to_rows(new_quots[r], counts[r])
+                for old, new in zip(rows[r], new_rows):
+                    lo, hi = (old, new) if above else (new, old)
+                    intervals[r].append((r + n * lo, r + n * hi))
+                beta.extend(r + n * row for row in new_rows)
+            other = partition_from_beta(beta)
+            source, target = (p, other) if above else (other, p)
+            strips.append(RibbonStrip(source, target, n, k, _crossings(intervals, n)))
+    return strips
 
 
 def ribbon_strips_above(p: Partition, n: int, k: int) -> list[RibbonStrip]:
     """All horizontal n-ribbon strips of weight k growing out of p."""
-    if n < 2 or k < 0:
-        raise ValueError("need n >= 2 and k >= 0")
-    if k == 0:
-        return [RibbonStrip(p, p, n, 0, 0)]
-    slots, rows, quots, counts, combos = _strip_candidates(p, n, k, above=True)
-    return [
-        _strip_from_quotients(p, n, k, rows, counts, combo, above=True)
-        for combo in combos
-    ]
+    return _ribbon_strips(p, n, k, above=True)
 
 
 def ribbon_strips_below(p: Partition, n: int, k: int) -> list[RibbonStrip]:
     """All horizontal n-ribbon strips of weight k inside p (strip removal)."""
-    if n < 2 or k < 0:
-        raise ValueError("need n >= 2 and k >= 0")
-    if k == 0:
-        return [RibbonStrip(p, p, n, 0, 0)]
-    slots, rows, quots, counts, combos = _strip_candidates(p, n, k, above=False)
-    return [
-        _strip_from_quotients(p, n, k, rows, counts, combo, above=False)
-        for combo in combos
-    ]
+    return _ribbon_strips(p, n, k, above=False)
 
 
 def strip_ribbon_cells(source: Partition, target: Partition, n: int):
@@ -556,7 +525,7 @@ def yamanouchi_domino_tableaux(shape: Partition, weight: Partition) -> list[Domi
     one per label; the Yamanouchi condition filters on the column reading
     word.  The vertical-domino count equals the sum of strip heights.
     """
-    if size(shape) != 2 * size(weight):
+    if sum(shape) != 2 * sum(weight):
         raise SizeMismatchError(f"|{shape}| != 2|{weight}|")
     out: list[DominoTableau] = []
 

@@ -56,10 +56,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _poly(terms: dict[int, int]) -> LaurentPoly:
-    return LaurentPoly.from_terms(terms)
-
-
 # Known n=2 matrices for small degrees, entry by entry (rows/cols in revlex
 # order; only nonzero off-diagonal entries listed, diagonals are all 1).
 _BAR_OFFDIAG_N2 = {
@@ -135,7 +131,7 @@ def reference_bar_matrix(m: int) -> canonical.TransitionMatrix:
     """Frozen bar matrix for n=2, m in {2,3,4}."""
     entries = {(p, p): ONE for p in revlex_order(m)}
     for key, terms in _BAR_OFFDIAG_N2[m].items():
-        entries[key] = _poly(terms)
+        entries[key] = LaurentPoly.from_terms(terms)
     return canonical.TransitionMatrix("A", 2, m, revlex_order(m), entries)
 
 
@@ -143,7 +139,7 @@ def reference_upper_matrix(m: int) -> canonical.TransitionMatrix:
     """Frozen upper-basis matrix for n=2, m in {2,...,6}."""
     entries = {(p, p): ONE for p in revlex_order(m)}
     for key, terms in _UPPER_OFFDIAG_N2[m].items():
-        entries[key] = _poly(terms)
+        entries[key] = LaurentPoly.from_terms(terms)
     return canonical.TransitionMatrix("D", 2, m, revlex_order(m), entries)
 
 

@@ -31,7 +31,7 @@ from .partitions import (
 
 def backend() -> str:
     """Name of the straightening kernel: always "python"."""
-    return _kernel.BACKEND
+    return "python"
 
 
 class KTooSmallError(ValueError):
@@ -77,15 +77,6 @@ def minimal_head(w: Word) -> Word:
 def extend_head(w: Word, K: int) -> Word:
     """Append tail values to reach head length K."""
     return w + tuple(-k for k in range(len(w), K))
-
-
-def word_degree(w: Word) -> int:
-    return sum(v + k for k, v in enumerate(w))
-
-
-def word_str(w: Word) -> str:
-    """Debug form, explicit head only: "u[2,-1,-2]"."""
-    return "u[" + ",".join(str(v) for v in w) + "]"
 
 
 _straighten_cache: dict[tuple[int, Word], tuple] = {}

@@ -102,6 +102,20 @@ def test_matrix_block_filter(capsys):
     assert out.splitlines()[0] == ",3,111"
 
 
+@pytest.mark.parametrize("block", ["21", "11", "3", "abc"])
+def test_matrix_impossible_block_exits_2_before_computing(tmp_path, capsys, block):
+    # for n=2, m=4: (2,1) is a 2-core but 4 - 3 is odd; (1,1) and (3) are not
+    # 2-cores; "abc" is not a partition
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        main(["matrix", "--kind", "D", "-n", "2", "-m", "4", "--block", block,
+              "--cache-dir", str(cache)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+    assert not cache.exists() or not any(cache.iterdir())
+
+
 def test_matrix_exit_code_on_bad_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["matrix", "--kind", "Z", "-n", "2", "-m", "2"])
@@ -268,10 +282,24 @@ def test_cache_load_rejects_corrupted_schema(tmp_path):
         matrixio.cache_load(str(tmp_path), "D", 2, 3)
 
 
+def _edit_entries(text, edit):
+    doc = json.loads(text)
+    doc["entries"] = edit(doc["entries"])
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "damage",
-    [lambda text: text[: len(text) // 2], lambda text: "[]", lambda text: "\udcff"],
-    ids=["truncated", "not-a-document", "not-utf8"],
+    [
+        lambda text: text[: len(text) // 2],
+        lambda text: "[]",
+        lambda text: "\udcff",
+        lambda text: _edit_entries(text, lambda e: e + [[0, 1, {"min": 0, "c": []}]]),
+        lambda text: _edit_entries(text, lambda e: e + [[1, 0, {"min": 2, "c": ["5"]}]]),
+        lambda text: _edit_entries(text, lambda e: [[-1, 0, {"min": 0, "c": ["1"]}]] + e),
+    ],
+    ids=["truncated", "not-a-document", "not-utf8", "zero-poly", "repeated-pair",
+         "negative-index"],
 )
 def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, damage):
     cache = str(tmp_path / "cache")

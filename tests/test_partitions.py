@@ -219,20 +219,22 @@ def test_strip_height_bounds():
 
 
 def test_strips_below_mirror_above():
+    """The strips removed from degree m + nk are exactly those added to
+    degree m, as (source, target, height) sets in both directions."""
     for n in (2, 3):
-        for m in range(7):
-            for lam in pt.partitions_of(m):
-                for k in (1, 2):
-                    ups = {
-                        (s.target, s.height)
-                        for s in pt.ribbon_strips_above(lam, n, k)
-                    }
-                    for mu, h in ups:
-                        downs = {
-                            (s.source, s.height)
-                            for s in pt.ribbon_strips_below(mu, n, k)
-                        }
-                        assert (lam, h) in downs
+        for k in (1, 2):
+            for m in range(7):
+                ups = {
+                    (s.source, s.target, s.height)
+                    for lam in pt.partitions_of(m)
+                    for s in pt.ribbon_strips_above(lam, n, k)
+                }
+                downs = {
+                    (s.source, s.target, s.height)
+                    for mu in pt.partitions_of(m + n * k)
+                    for s in pt.ribbon_strips_below(mu, n, k)
+                }
+                assert ups == downs, (n, k, m)
 
 
 def test_strip_ribbon_cells_consistent():
