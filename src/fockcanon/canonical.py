@@ -1,12 +1,14 @@
 """Canonical bases and transition matrices.
 
 Per degree m the bar involution is unitriangular on the standard basis in
-reverse-lexicographic order, with blocks indexed by n-cores.  Bar-invariance
-and unitriangularity then fix the canonical bases one entry at a time: for
-each basis vector, walk the rest of its block downward in revlex, and the
-sum of a[lam, nu] bar(x[nu]) over the entries nu already solved is a
-bar-antisymmetric polynomial whose qZ[q] half is the next entry of the upper
-basis G, and whose q^-1 Z[q^-1] half is that of the lower basis G^-.
+reverse-lexicographic order, with blocks indexed by n-cores; `blocks` is the
+one table of that layout.  Bar-invariance and unitriangularity then fix the
+canonical bases one entry at a time: for each basis vector, walk the rest of
+its block downward in revlex, and the sum of a[lam, nu] bar(x[nu]) over the
+entries nu already solved is a bar-antisymmetric polynomial whose qZ[q] half
+is the next entry of the upper basis G, and whose q^-1 Z[q^-1] half is that
+of the lower basis G^-.  The same walk over the columns of D, pushing x[nu]
+unchanged and taking the negated sum, is forward substitution for C = D^-1.
 
 Matrix kinds and orientations:
   A: bar images,      column mu = bar|mu>
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import neg
 
 from . import fock, wedge
 from .fock import FockVector
@@ -45,8 +48,11 @@ class TransitionMatrix:
     kind: str
     n: int
     m: int
-    order: tuple[Partition, ...]
     entries: dict[tuple[Partition, Partition], LaurentPoly]
+
+    @property
+    def order(self) -> tuple[Partition, ...]:
+        return revlex_order(self.m)
 
     def entry(self, row: Partition, col: Partition) -> LaurentPoly:
         return self.entries.get((tuple(row), tuple(col)), ZERO)
@@ -65,11 +71,7 @@ class TransitionMatrix:
 
     def bar_entries(self) -> "TransitionMatrix":
         return TransitionMatrix(
-            self.kind,
-            self.n,
-            self.m,
-            self.order,
-            {k: v.bar() for k, v in self.entries.items()},
+            self.kind, self.n, self.m, {k: v.bar() for k, v in self.entries.items()}
         )
 
     def matmul(self, other: "TransitionMatrix") -> "TransitionMatrix":
@@ -80,7 +82,7 @@ class TransitionMatrix:
         for (r, mid), v in self.entries.items():
             for c, w in by_row.get(mid, ()):
                 accumulate(out, (r, c), v * w)
-        return TransitionMatrix("?", self.n, self.m, self.order, out)
+        return TransitionMatrix("?", self.n, self.m, out)
 
     def is_identity(self) -> bool:
         return self.entries == {(p, p): ONE for p in self.order}
@@ -88,19 +90,19 @@ class TransitionMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, TransitionMatrix)
-            and (self.kind, self.n, self.m, self.order) ==
-                (other.kind, other.n, other.m, other.order)
+            and (self.kind, self.n, self.m) == (other.kind, other.n, other.m)
             and self.entries == other.entries
         )
 
 
-def blocks(n: int, m: int) -> dict[Partition, list[Partition]]:
+@lru_cache(maxsize=None)
+def blocks(n: int, m: int) -> dict[Partition, tuple[Partition, ...]]:
     """Partitions of m grouped by n-core, revlex order kept inside blocks."""
     out: dict[Partition, list[Partition]] = {}
     for p in revlex_order(m):
         core, _ = n_core_quotient(p, n)
         out.setdefault(core, []).append(p)
-    return out
+    return {core: tuple(members) for core, members in out.items()}
 
 
 def a_matrix(n: int, m: int) -> TransitionMatrix:
@@ -113,7 +115,42 @@ def a_matrix(n: int, m: int) -> TransitionMatrix:
                 if lam not in block_set:
                     raise AssertionError(f"bar|{mu}> leaves its n-core block")
                 entries[(lam, mu)] = c
-    return TransitionMatrix("A", n, m, revlex_order(m), entries)
+    return TransitionMatrix("A", n, m, entries)
+
+
+def _block_walk(n: int, m: int, column, push, settle):
+    """Solve the unitriangular x column by column inside each n-core block,
+    given the columns column(nu) = {lam: a[lam, nu]} of a unitriangular a.
+    Returns the entries of x keyed (row, column).
+
+    For the column of mu, acc[lam] sums a[lam, nu] push(x[nu]) over the
+    entries x[nu] solved so far, and x[lam] = settle(acc[lam]).  An entry of
+    a above its diagonal or across two blocks leaves acc nonempty at the end
+    of the block, which raises AssertionError.
+    """
+    entries: dict[tuple[Partition, Partition], LaurentPoly] = {}
+    for block in blocks(n, m).values():
+        columns = {nu: column(nu) for nu in block}
+        for i, mu in enumerate(block):
+            acc: dict[Partition, LaurentPoly] = {}
+            for lam in block[i:]:
+                if lam == mu:
+                    x = ONE
+                elif lam in acc:
+                    x = settle(acc.pop(lam))
+                else:
+                    continue
+                entries[(lam, mu)] = x
+                px = push(x)
+                for nu, a in columns[lam].items():
+                    if nu != lam:
+                        accumulate(acc, nu, a * px)
+            if acc:
+                raise AssertionError(
+                    f"columns of the {n}-core block of {mu} are not "
+                    f"unitriangular: {sorted(acc)} left over"
+                )
+    return entries
 
 
 def _canonical_basis(
@@ -121,84 +158,49 @@ def _canonical_basis(
 ) -> dict[tuple[Partition, Partition], LaurentPoly]:
     """Entries of D (lower=False) or E (lower=True), keyed (row, column).
 
-    For the basis vector of mu, acc[lam] sums a[lam, nu] bar(x[nu]) over the
-    entries x[nu] solved so far; by bar-invariance it equals x[lam] - bar(x[lam]).
+    The walk runs over the bar images, where by bar-invariance acc[lam] equals
+    x[lam] - bar(x[lam]); x[lam] is its qZ[q] (D) or q^-1 Z[q^-1] (E) half.
     """
-    entries: dict[tuple[Partition, Partition], LaurentPoly] = {}
-    for block in blocks(n, m).values():
-        images = {nu: wedge.bar_basis(nu, n) for nu in block}
-        for i, mu in enumerate(block):
-            acc: dict[Partition, LaurentPoly] = {}
-            for lam in block[i:]:
-                if lam == mu:
-                    x = ONE
-                elif lam in acc:
-                    parts = antisym_split(acc.pop(lam))
-                    if lower:
-                        x = LaurentPoly.from_terms({-j: -r for j, r in parts.items()})
-                    else:
-                        x = LaurentPoly.from_terms(parts)
-                else:
-                    continue
-                entries[(mu, lam) if lower else (lam, mu)] = x
-                xb = x.bar()
-                for nu, a in images[lam].items():
-                    if nu != lam:
-                        accumulate(acc, nu, a * xb)
-            if acc:
-                raise AssertionError(
-                    f"bar images of the {n}-core block of {mu} are not "
-                    f"unitriangular: {sorted(acc)} left over"
-                )
-    return entries
+    sign = -1 if lower else 1
+    entries = _block_walk(
+        n, m, lambda nu: wedge.bar_basis(nu, n), LaurentPoly.bar,
+        lambda acc: LaurentPoly.from_terms(
+            {sign * j: sign * r for j, r in antisym_split(acc).items()}
+        ),
+    )
+    return {(mu, lam): x for (lam, mu), x in entries.items()} if lower else entries
 
 
 @lru_cache(maxsize=None)
 def canonical_upper(n: int, m: int) -> TransitionMatrix:
     """Matrix D: column mu holds G(mu) = |mu> + sum_{lam} d_{lam mu} |lam>."""
-    entries = _canonical_basis(n, m, lower=False)
-    return TransitionMatrix("D", n, m, revlex_order(m), entries)
+    return TransitionMatrix("D", n, m, _canonical_basis(n, m, lower=False))
 
 
 @lru_cache(maxsize=None)
 def canonical_lower(n: int, m: int) -> TransitionMatrix:
     """Matrix E: row lam holds G^-(lam) = sum_mu e_{lam mu} |mu>."""
-    entries = _canonical_basis(n, m, lower=True)
-    return TransitionMatrix("E", n, m, revlex_order(m), entries)
+    return TransitionMatrix("E", n, m, _canonical_basis(n, m, lower=True))
 
 
 def adjoint_matrix(d: TransitionMatrix) -> TransitionMatrix:
-    """Matrix C = D^-1 by unitriangular forward substitution."""
+    """Matrix C = D^-1 by forward substitution in each n-core block."""
     if d.kind != "D":
         raise ValueError("adjoint_matrix expects a D matrix")
-    order = d.order
-    index = {p: i for i, p in enumerate(order)}
-    entries: dict[tuple[Partition, Partition], LaurentPoly] = {}
-    for mu in order:
-        # column mu of C: x with D x = e_mu; D is unitriangular downward.
-        x: dict[Partition, LaurentPoly] = {mu: ONE}
-        for lam in order[index[mu] + 1 :]:
-            s = ZERO
-            for nu, val in x.items():
-                coeff = d.entry(lam, nu)
-                if coeff:
-                    s = s + coeff * val
-            if s:
-                x[lam] = -s
-        for lam, val in x.items():
-            entries[(lam, mu)] = val
-    return TransitionMatrix("C", d.n, d.m, order, entries)
+    columns: dict[Partition, dict[Partition, LaurentPoly]] = {}
+    for (lam, nu), a in d.entries.items():
+        columns.setdefault(nu, {})[lam] = a
+    entries = _block_walk(d.n, d.m, lambda nu: columns.get(nu, {}), lambda x: x, neg)
+    return TransitionMatrix("C", d.n, d.m, entries)
 
 
 def check_duality(e: TransitionMatrix, c: TransitionMatrix) -> bool:
     """Entrywise identity c_{lam,mu}(q) = e_{lam',mu'}(1/q)."""
     if (e.n, e.m) != (c.n, c.m):
         raise ValueError("matrices are not comparable")
-    for lam in e.order:
-        for mu in e.order:
-            if c.entry(lam, mu) != e.entry(conjugate(lam), conjugate(mu)).bar():
-                return False
-    return True
+    return c.entries == {
+        (conjugate(lam), conjugate(mu)): v.bar() for (lam, mu), v in e.entries.items()
+    }
 
 
 def steinberg_decompose(p: Partition, n: int) -> tuple[Partition, Partition]:
@@ -257,10 +259,7 @@ def domino_theorem_check(m: int) -> DominoReport:
     mismatches = []
     for lam in partitions_of(m // 2):
         row = tuple(2 * x for x in lam)
-        for mu in partitions_of(m):
-            core, _ = n_core_quotient(mu, 2)
-            if core:
-                continue
+        for mu in blocks(2, m)[()]:
             total = ZERO
             for tab in yamanouchi_domino_tableaux(mu, lam):
                 total = total + LaurentPoly.monomial(1, -tab.vertical)

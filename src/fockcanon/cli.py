@@ -20,11 +20,12 @@ from .canonical import (
     TransitionMatrix,
     a_matrix,
     adjoint_matrix,
+    blocks,
     canonical_lower,
     canonical_upper,
 )
 from .fock import FockVector
-from .partitions import check_partition, n_core_quotient
+from .partitions import check_partition
 
 DEFAULT_CACHE_DIR = ".fock-cache"
 CACHE_ENV = "FOCK_CANON_CACHE"
@@ -90,14 +91,17 @@ def compute_matrix(kind: str, n: int, m: int) -> TransitionMatrix:
 def _cmd_matrix(args) -> int:
     block = None
     if args.block is not None:
-        # the n-core b has a block in degree m iff n divides m - |b| >= 0
         block = parse_partition(args.block)
-        rest = args.m - sum(block)
-        if n_core_quotient(block, args.n)[0] != block or rest < 0 or rest % args.n:
+        if block not in blocks(args.n, args.m):
             raise ValueError(f"no {args.n}-core block {list(block)} in degree {args.m}")
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV) or DEFAULT_CACHE_DIR
     mat = None
     if not args.no_cache:
+        try:
+            if not os.path.isdir(cache_dir):
+                os.makedirs(cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cache directory {cache_dir} is unusable: {exc.strerror}") from None
         try:
             mat = matrixio.cache_load(cache_dir, args.kind, args.n, args.m)
         except (matrixio.CacheMissError, matrixio.SchemaMismatchError):

@@ -77,13 +77,6 @@ class FockVector:
             return FockVector()
         return FockVector({p: coeff * c for p, coeff in self.terms.items()})
 
-    def degree(self) -> int:
-        """Common size of the supporting partitions (requires homogeneity)."""
-        degs = {sum(p) for p in self.terms}
-        if len(degs) != 1:
-            raise ValueError("vector is not degree-homogeneous")
-        return degs.pop()
-
     def __str__(self):
         return self.pretty()
 

@@ -223,8 +223,6 @@ class LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly.monomial(1)
-Q = LaurentPoly.monomial(1, 1)
-QINV = LaurentPoly.monomial(1, -1)
 
 
 def q_int(n: int) -> LaurentPoly:

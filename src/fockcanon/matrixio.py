@@ -3,7 +3,10 @@ text, and an atomic on-disk cache.
 
 The JSON schema is "fock-canon/matrix/v1": order is the full revlex list of
 the degree, entries are sorted (rowIdx, colIdx, poly) triples with nonzero
-polynomials only, so serialize -> parse -> serialize is byte-identical.
+polynomials only, so serialize -> parse -> serialize is byte-identical.  A
+parsed document must also hold a unitriangular matrix in n-core blocks: unit
+diagonal, no entry joining two blocks, and for D (E) every off-diagonal entry
+in qZ[q] (q^-1 Z[q^-1]).
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ import json
 import os
 import tempfile
 
-from .canonical import TransitionMatrix
-from .laurent import LaurentPoly
-from .partitions import Partition, n_core_quotient, revlex_order
+from .canonical import TransitionMatrix, blocks
+from .laurent import ONE, LaurentPoly
+from .partitions import Partition, revlex_order
 
 SCHEMA = "fock-canon/matrix/v1"
 
@@ -43,13 +46,20 @@ def matrix_to_doc(mat: TransitionMatrix) -> dict:
     }
 
 
+_OFF_DIAGONAL_RING = {"D": LaurentPoly.in_positive_ring, "E": LaurentPoly.in_negative_ring}
+
+
 def matrix_from_doc(doc: dict) -> TransitionMatrix:
     if doc.get("schema") != SCHEMA:
         raise SchemaMismatchError(f"unexpected schema {doc.get('schema')!r}")
+    kind, n, m = doc["kind"], int(doc["n"]), int(doc["m"])
     order = tuple(tuple(p) for p in doc["order"])
-    if order != revlex_order(int(doc["m"])):
+    if order != revlex_order(m):
         raise SchemaMismatchError("order is not the revlex partition list")
+    core = {p: c for c, members in blocks(n, m).items() for p in members}
+    in_ring = _OFF_DIAGONAL_RING.get(kind, bool)  # A and C: any nonzero entry
     entries = {}
+    diagonal = 0
     last = (0, -1)  # strictly increasing from here keeps every row index >= 0
     for ri, ci, poly in doc["entries"]:
         value = LaurentPoly.from_json(poly)
@@ -57,8 +67,17 @@ def matrix_from_doc(doc: dict) -> TransitionMatrix:
         if key <= last or ci < 0 or not value.coeffs:
             raise SchemaMismatchError(f"entry {list(key)} is zero or out of order")
         last = key
-        entries[(order[ri], order[ci])] = value
-    return TransitionMatrix(doc["kind"], int(doc["n"]), int(doc["m"]), order, entries)
+        row, col = order[ri], order[ci]
+        if ri == ci:
+            diagonal += value == ONE  # counts the unit diagonal entries
+        elif core[row] != core[col] or not in_ring(value):
+            raise SchemaMismatchError(
+                f"entry {list(key)} leaves its {n}-core block or the {kind} ring"
+            )
+        entries[(row, col)] = value
+    if diagonal != len(order):
+        raise SchemaMismatchError("the diagonal is not all 1")
+    return TransitionMatrix(kind, n, m, entries)
 
 
 def dumps(doc: dict) -> str:
@@ -103,15 +122,16 @@ def cache_load(directory: str, kind: str, n: int, m: int) -> TransitionMatrix:
     path = cache_path(directory, kind, n, m)
     try:
         with open(path) as fh:
-            text = fh.read()
-        mat = matrix_from_json(text)
+            doc = json.load(fh)
+        # compare the key first: the checks of matrix_from_doc build the blocks
+        # of the document's n and m
+        if (doc["kind"], doc["n"], doc["m"]) != (kind, n, m):
+            raise ValueError("it does not match its key")
+        return matrix_from_doc(doc)
     except FileNotFoundError:
         raise CacheMissError(f"no cache entry {path}") from None
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise SchemaMismatchError(f"cache entry {path} cannot be decoded: {exc}") from exc
-    if (mat.kind, mat.n, mat.m) != (kind, n, m):
-        raise SchemaMismatchError(f"cache entry {path} does not match its key")
-    return mat
 
 
 # -- text renderings -----------------------------------------------------------
@@ -125,24 +145,21 @@ def _label(p: Partition, sep: str = "") -> str:
     return sep.join(str(x) for x in p)
 
 
-def _selected(mat: TransitionMatrix, block: Partition | None):
-    if block is None:
-        return list(mat.order)
-    out = []
-    for p in mat.order:
-        core, _ = n_core_quotient(p, mat.n)
-        if core == tuple(block):
-            out.append(p)
-    return out
+def _grid(mat: TransitionMatrix, block: Partition | None, text):
+    """The partitions shown (the whole order, or the n-core block `block`)
+    and their cells: text(entry) where mat has an entry, "0" elsewhere."""
+    parts = mat.order if block is None else blocks(mat.n, mat.m)[tuple(block)]
+    index = {p: i for i, p in enumerate(parts)}
+    cells = [["0"] * len(parts) for _ in parts]
+    for (r, c), poly in mat.entries.items():
+        if r in index and c in index:
+            cells[index[r]][index[c]] = text(poly)
+    return parts, cells
 
 
 def render_pretty(mat: TransitionMatrix, block: Partition | None = None) -> str:
-    parts = _selected(mat, block)
+    parts, cells = _grid(mat, block, LaurentPoly.pretty)
     labels = [_label(p) for p in parts]
-    cells = [
-        [mat.entry(r, c).pretty() for c in parts]
-        for r in parts
-    ]
     width = [
         max([len(row[j]) for row in cells] + [1]) for j in range(len(parts))
     ]
@@ -155,22 +172,17 @@ def render_pretty(mat: TransitionMatrix, block: Partition | None = None) -> str:
 
 
 def render_csv(mat: TransitionMatrix, block: Partition | None = None) -> str:
-    parts = _selected(mat, block)
+    parts, cells = _grid(mat, block, LaurentPoly.pretty)
     lines = ["," + ",".join(_label(p) for p in parts)]
-    for r in parts:
-        lines.append(
-            _label(r) + "," + ",".join(mat.entry(r, c).pretty() for c in parts)
-        )
+    for r, row in zip(parts, cells):
+        lines.append(_label(r) + "," + ",".join(row))
     return "\n".join(lines) + "\n"
 
 
 def render_latex(mat: TransitionMatrix, block: Partition | None = None) -> str:
-    parts = _selected(mat, block)
+    parts, cells = _grid(mat, block, LaurentPoly.latex)
     lines = [r"\begin{array}{" + "c" * (len(parts) + 1) + "}"]
-    rows = []
-    for r in parts:
-        cells = [_label(r, sep=" ")] + [mat.entry(r, c).latex() for c in parts]
-        rows.append(" & ".join(cells))
+    rows = [" & ".join([_label(r, sep=" ")] + row) for r, row in zip(parts, cells)]
     lines.append(" \\\\\n".join(rows))
     lines.append(r"\end{array}")
     return "\n".join(lines) + "\n"

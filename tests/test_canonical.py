@@ -3,6 +3,7 @@ import pytest
 from fockcanon import fock, verify, wedge
 from fockcanon.canonical import (
     NotApplicableError,
+    TransitionMatrix,
     a_matrix,
     adjoint_matrix,
     blocks,
@@ -14,7 +15,7 @@ from fockcanon.canonical import (
     steinberg_g_minus,
 )
 from fockcanon.fock import FockVector
-from fockcanon.laurent import ONE, LaurentPoly, NotAntisymmetricError, antisym_split
+from fockcanon.laurent import ONE, ZERO, LaurentPoly, NotAntisymmetricError, antisym_split
 from fockcanon.partitions import (
     conjugate,
     dominance_leq,
@@ -196,6 +197,45 @@ def test_adjoint_of_identity():
     d = canonical_upper(7, 3)  # no 7-ribbon fits in a partition of 3
     assert d.is_identity()
     assert adjoint_matrix(d).is_identity()
+
+
+def _forward_substitution_inverse(d):
+    """Slow oracle for C = D^-1: forward substitution over the whole revlex
+    order, one entry lookup per pair, blind to the n-core blocks."""
+    order = d.order
+    entries = {}
+    for i, mu in enumerate(order):
+        x = {mu: ONE}
+        for lam in order[i + 1 :]:
+            s = ZERO
+            for nu, val in x.items():
+                s = s + d.entry(lam, nu) * val
+            if s:
+                x[lam] = -s
+        for lam, val in x.items():
+            entries[(lam, mu)] = val
+    return entries
+
+
+def test_block_walk_matches_forward_substitution():
+    for n in (2, 3, 4):
+        for m in range(10):
+            d = canonical_upper(n, m)
+            assert adjoint_matrix(d).entries == _forward_substitution_inverse(d), (n, m)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [((5,), (3, 2)), ((4, 1), (3, 2))],
+    ids=["above-diagonal", "across-blocks"],
+)
+def test_broken_upper_matrix_fails_loudly(extra):
+    # (5) precedes (3,2) in revlex within the 2-core (1) block; (4,1) has
+    # 2-core (2,1), so it lies outside that block
+    d = canonical_upper(2, 5)
+    broken = TransitionMatrix("D", 2, 5, {**d.entries, extra: ONE})
+    with pytest.raises(AssertionError):
+        adjoint_matrix(broken)
 
 
 def test_d_times_c_is_identity():

@@ -288,29 +288,64 @@ def _edit_entries(text, edit):
     return json.dumps(doc)
 
 
+def _set_entry(index, poly):
+    def edit(entries):
+        return [e[:2] + [poly] if e[:2] == index else e for e in entries]
+    return edit
+
+
 @pytest.mark.parametrize(
-    "damage",
+    "m, damage",
     [
-        lambda text: text[: len(text) // 2],
-        lambda text: "[]",
-        lambda text: "\udcff",
-        lambda text: _edit_entries(text, lambda e: e + [[0, 1, {"min": 0, "c": []}]]),
-        lambda text: _edit_entries(text, lambda e: e + [[1, 0, {"min": 2, "c": ["5"]}]]),
-        lambda text: _edit_entries(text, lambda e: [[-1, 0, {"min": 0, "c": ["1"]}]] + e),
+        (4, lambda text: text[: len(text) // 2]),
+        (4, lambda text: "[]"),
+        (4, lambda text: "\udcff"),
+        (4, lambda text: _edit_entries(text, lambda e: e + [[0, 1, {"min": 0, "c": []}]])),
+        (4, lambda text: _edit_entries(text, lambda e: e + [[1, 0, {"min": 2, "c": ["5"]}]])),
+        (4, lambda text: _edit_entries(text, lambda e: [[-1, 0, {"min": 0, "c": ["1"]}]] + e)),
+        # d[(3,1),(4)] = q read as q^-1
+        (4, lambda text: _edit_entries(text, _set_entry([1, 0], {"min": -1, "c": ["1"]}))),
+        (4, lambda text: _edit_entries(text, _set_entry([0, 0], {"min": 0, "c": ["2"]}))),
+        # (3,2) and (4,1) have the 2-cores (1) and (2,1)
+        (5, lambda text: _edit_entries(
+            text, lambda e: sorted(e + [[2, 1, {"min": 1, "c": ["1"]}]], key=lambda x: x[:2])
+        )),
     ],
     ids=["truncated", "not-a-document", "not-utf8", "zero-poly", "repeated-pair",
-         "negative-index"],
+         "negative-index", "ring", "diagonal", "cross-block"],
 )
-def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, damage):
+def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, m, damage):
     cache = str(tmp_path / "cache")
-    argv = ("matrix", "--kind", "D", "-n", "2", "-m", "4", "--format", "json",
+    argv = ("matrix", "--kind", "D", "-n", "2", "-m", str(m), "--format", "json",
             "--cache-dir", cache)
     code, first = run_cli(capsys, *argv)
-    path = tmp_path / "cache" / "D_n2_m4.json"
+    path = tmp_path / "cache" / f"D_n2_m{m}.json"
     path.write_text(damage(first), errors="surrogateescape")
     code, again = run_cli(capsys, *argv)
     assert (code, again) == (0, first)
     assert path.read_text() == first
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_unusable_cache_dir_exits_2_before_computing(tmp_path, capsys, monkeypatch, via, below):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cache = str(taken / "x" if below else taken)
+    argv = ["matrix", "--kind", "A", "-n", "2", "-m", "3"]
+    if via == "flag":
+        argv += ["--cache-dir", cache]
+    else:
+        monkeypatch.setenv("FOCK_CANON_CACHE", cache)
+    monkeypatch.setattr(
+        "fockcanon.cli.compute_matrix", lambda *a: pytest.fail("computed before the check")
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert cache in captured.err and "Traceback" not in captured.err
 
 
 def test_cache_miss(tmp_path):
