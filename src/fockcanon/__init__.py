@@ -53,7 +53,6 @@ from .partitions import (
     is_n_regular,
     n_core_quotient,
     node_counts,
-    partition_from_core_quotient,
     partitions_of,
     revlex_order,
     ribbon_strips_above,

@@ -5,10 +5,10 @@ Partitions are plain tuples of weakly decreasing positive integers; the empty
 tuple is the empty partition.  Cells are 1-indexed (row, col) pairs in English
 orientation, and the n-residue of a cell (r, c) is (c - r) mod n.
 
-Horizontal n-ribbon strips are computed through the Littlewood abacus
-bijection: mu/lam is a horizontal strip of weight k iff the two partitions
-share an n-core and every n-quotient component grows by an ordinary
-horizontal strip, k boxes in total.  The height statistic is the number of
+Horizontal n-ribbon strips are bead moves on the Littlewood abacus: mu/lam
+is a horizontal strip of weight k iff the beads of mu come from those of lam
+by moves up the runners, k steps in all, each bead stopping short of the old
+place of the next bead on its runner.  The height statistic is the number of
 bead crossings, counted by the static interval rule implemented in
 ``_crossings`` (cross-validated against the Heisenberg description of the
 same operators, see the fock module).
@@ -17,7 +17,6 @@ same operators, see the fock module).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -256,14 +255,6 @@ def _rows_to_quotient(rows: list[int]) -> Partition:
     return tuple(x for x in reversed(parts) if x)
 
 
-def _quotient_to_rows(q: Partition, count: int) -> list[int]:
-    """Ascending bead rows of a quotient component on a runner with ``count`` beads."""
-    if len(q) > count:
-        raise ValueError("not enough beads for quotient component")
-    parts = list(q) + [0] * (count - len(q))
-    return sorted(parts[i] + (count - 1 - i) for i in range(count))
-
-
 def n_core_quotient(p: Partition, n: int) -> tuple[Partition, tuple[Partition, ...]]:
     """The n-core and n-quotient via the abacus (slot count fixed mod n)."""
     if n < 2:
@@ -274,23 +265,6 @@ def n_core_quotient(p: Partition, n: int) -> tuple[Partition, tuple[Partition, .
     core_beta = [r + n * j for r, rws in enumerate(rows) for j in range(len(rws))]
     core = partition_from_beta(core_beta)
     return core, quotient
-
-
-def partition_from_core_quotient(core: Partition, quotient, n: int) -> Partition:
-    """Inverse of :func:`n_core_quotient`."""
-    if len(quotient) != n:
-        raise ValueError("quotient must have n components")
-    slots = _norm_slots(core, n)
-    while True:
-        rows = _runner_rows(core, n, slots)
-        if all(len(rows[r]) >= len(quotient[r]) for r in range(n)):
-            break
-        slots += n
-    beta = []
-    for r in range(n):
-        for row in _quotient_to_rows(quotient[r], len(rows[r])):
-            beta.append(r + n * row)
-    return partition_from_beta(beta)
 
 
 # -- horizontal ribbon strips -------------------------------------------------
@@ -306,45 +280,11 @@ class RibbonStrip(NamedTuple):
     height: int  # sum of (ht(R) - 1) over the tiling
 
 
-def _horizontal_strips_above(q: Partition, total: int, max_rows: int):
-    """All partitions obtained from q by adding a horizontal strip of ``total``."""
-
-    def rec(i, remaining, bound, acc):
-        if i == max_rows:
-            if remaining == 0:
-                yield tuple(x for x in acc if x)
-            return
-        cur = q[i] if i < len(q) else 0
-        hi = min(bound, cur + remaining)
-        for new in range(hi, cur - 1, -1):
-            yield from rec(i + 1, remaining - (new - cur), cur, acc + [new])
-
-    yield from rec(0, total, (q[0] if q else 0) + total, [])
-
-
-def _horizontal_strips_below(q: Partition, total: int):
-    """All partitions obtained from q by removing a horizontal strip of ``total``."""
-
-    def rec(i, remaining, acc):
-        if i == len(q):
-            if remaining == 0:
-                yield tuple(x for x in acc if x)
-            return
-        nxt = q[i + 1] if i + 1 < len(q) else 0
-        for new in range(q[i], nxt - 1, -1):
-            spent = q[i] - new
-            if spent > remaining:
-                break
-            yield from rec(i + 1, remaining - spent, acc + [new])
-
-    yield from rec(0, total, [])
-
-
 def _compositions(total: int, caps: list[int]):
     """Tuples of nonnegative integers summing to total, entry r <= caps[r]."""
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
+    if not caps:
+        if total == 0:
+            yield ()
         return
     for first in range(min(total, caps[0]) + 1):
         for rest in _compositions(total - first, caps[1:]):
@@ -376,37 +316,37 @@ def _crossings(intervals_by_runner: list[list[tuple[int, int]]], n: int) -> int:
 
 def _ribbon_strips(p: Partition, n: int, k: int, above: bool) -> list[RibbonStrip]:
     """All horizontal n-ribbon strips of weight k growing out of p (above) or
-    inside p (below): each quotient component grows or shrinks by an
-    ordinary horizontal strip, the sizes given by a composition of k."""
+    inside p (below): beads move k runner steps in all, up (above) or down
+    (below), each stopping short of the old place of the next bead on its
+    runner and never below position 0."""
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
-    if k == 0:
-        return [RibbonStrip(p, p, n, 0, 0)]
-    rows = _runner_rows(p, n, _norm_slots(p, n, extra=k))
-    counts = [len(r) for r in rows]
-    quots = [_rows_to_quotient(r) for r in rows]
+    beads = beta_set(p, _norm_slots(p, n, extra=k))
+    occupied = set(beads)
+    step = n if above else -n
+    standing, movers, rooms = [], [], []
+    for b in beads:
+        room, dest = 0, b + step
+        while room < k and dest >= 0 and dest not in occupied:
+            room, dest = room + 1, dest + step
+        if room:
+            movers.append(b)
+            rooms.append(room)
+        else:
+            standing.append(b)
     strips = []
-    # a horizontal strip removed from q has at most q_1 boxes
-    caps = [k] * n if above else [q[0] if q else 0 for q in quots]
-    for comp in _compositions(k, caps):
-        choices = [
-            _horizontal_strips_above(quots[r], comp[r], counts[r])
-            if above
-            else _horizontal_strips_below(quots[r], comp[r])
-            for r in range(n)
-        ]
-        for new_quots in product(*choices):
-            intervals: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-            beta = []
-            for r in range(n):
-                new_rows = _quotient_to_rows(new_quots[r], counts[r])
-                for old, new in zip(rows[r], new_rows):
-                    lo, hi = (old, new) if above else (new, old)
-                    intervals[r].append((r + n * lo, r + n * hi))
-                beta.extend(r + n * row for row in new_rows)
-            other = partition_from_beta(beta)
-            source, target = (p, other) if above else (other, p)
-            strips.append(RibbonStrip(source, target, n, k, _crossings(intervals, n)))
+    for comp in _compositions(k, rooms):
+        intervals: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for b in standing:
+            intervals[b % n].append((b, b))
+        moved = []
+        for b, steps in zip(movers, comp):
+            new = b + step * steps
+            intervals[b % n].append((min(b, new), max(b, new)))
+            moved.append(new)
+        other = partition_from_beta(standing + moved)
+        source, target = (p, other) if above else (other, p)
+        strips.append(RibbonStrip(source, target, n, k, _crossings(intervals, n)))
     return strips
 
 
@@ -512,43 +452,33 @@ def _is_yamanouchi(word) -> bool:
     return True
 
 
-def _contained_in(a: Partition, b: Partition) -> bool:
-    if len(a) > len(b):
-        return False
-    return all(a[i] <= b[i] for i in range(len(a)))
-
-
 def yamanouchi_domino_tableaux(shape: Partition, weight: Partition) -> list[DominoTableau]:
     """All Yamanouchi domino tableaux of the given shape and weight.
 
     A semistandard domino tableau is a chain of horizontal 2-ribbon strips,
-    one per label; the Yamanouchi condition filters on the column reading
-    word.  The vertical-domino count equals the sum of strip heights.
+    one per label, removed here from the shape down, the last label first;
+    the Yamanouchi condition filters on the column reading word.  The
+    vertical-domino count equals the sum of strip heights.
     """
     if sum(shape) != 2 * sum(weight):
         raise SizeMismatchError(f"|{shape}| != 2|{weight}|")
     out: list[DominoTableau] = []
 
-    def rec(current: Partition, label: int, acc):
-        if label > len(weight):
-            if current != shape:
-                return
-            dominoes = tuple(acc)
+    def rec(current: Partition, label: int, dominoes):
+        if label == 0:
             if not _is_yamanouchi(_reading_word(dominoes)):
                 return
             v = sum(1 for _, cells in dominoes if len({r for r, _ in cells}) == 2)
             out.append(DominoTableau(shape, weight, dominoes, v))
             return
-        for strip in ribbon_strips_above(current, 2, weight[label - 1]):
-            if not _contained_in(strip.target, shape):
-                continue
-            ribbons = strip_ribbon_cells(current, strip.target, 2)
+        for strip in ribbon_strips_below(current, 2, weight[label - 1]):
+            ribbons = strip_ribbon_cells(strip.source, current, 2)
             assert sum(ht - 1 for _, ht in ribbons) == strip.height
             rec(
-                strip.target,
-                label + 1,
-                acc + [(label, cells) for cells, _ in ribbons],
+                strip.source,
+                label - 1,
+                tuple((label, cells) for cells, _ in ribbons) + dominoes,
             )
 
-    rec((), 1, [])
+    rec(shape, len(weight), ())
     return out

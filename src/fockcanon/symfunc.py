@@ -11,7 +11,13 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
-from .partitions import Partition, SizeMismatchError, beta_set, check_partition
+from .partitions import (
+    Partition,
+    SizeMismatchError,
+    beta_set,
+    check_partition,
+    partition_from_beta,
+)
 
 
 def z_order(beta: Partition) -> int:
@@ -39,13 +45,8 @@ def _mn(alpha: Partition, beta: Partition) -> int:
     for b in sorted(beads):
         if b - r >= 0 and (b - r) not in beads:
             crossings = sum(1 for x in range(b - r + 1, b) if x in beads)
-            smaller = sorted(beads - {b} | {b - r}, reverse=True)
-            parts = tuple(
-                p
-                for j, bb in enumerate(smaller)
-                if (p := bb - (len(smaller) - 1 - j)) > 0
-            )
-            total += (-1) ** crossings * _mn(parts, rest)
+            smaller = partition_from_beta(beads - {b} | {b - r})
+            total += (-1) ** crossings * _mn(smaller, rest)
     return total
 
 

@@ -42,7 +42,8 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
+        """True iff the suite ran a check and every check passed."""
+        return bool(self.checks) and all(ok for _, ok, _ in self.checks)
 
     def render(self) -> str:
         lines = []

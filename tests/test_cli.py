@@ -238,6 +238,10 @@ def test_verify_exit_codes(capsys):
     assert "[PASS] tables" in out
     code, out = run_cli(capsys, "verify", "--suite", "domino", "-n", "3", "--max-m", "4")
     assert code == 1  # the domino theorem is n=2 only: reported as failure
+    for suite in ("tables", "domino"):  # no degree up to 1 has a check
+        code, out = run_cli(capsys, "verify", "--suite", suite, "-n", "2", "--max-m", "1")
+        assert code == 1
+        assert f"[FAIL] {suite}: suite total (0/0 checks)" in out
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])
     assert exc.value.code == 2

@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -136,12 +139,15 @@ def test_core_quotient_size():
                 assert sum(core) + n * sum(map(sum, quot)) == m
 
 
-def test_core_quotient_round_trip():
+def test_core_quotient_injective_and_cores_fixed():
     for m in range(11):
-        for lam in pt.partitions_of(m):
-            for n in (2, 3, 4):
-                core, quot = pt.n_core_quotient(lam, n)
-                assert pt.partition_from_core_quotient(core, quot, n) == lam
+        for n in (2, 3, 4):
+            seen = {}
+            for lam in pt.partitions_of(m):
+                key = pt.n_core_quotient(lam, n)
+                assert seen.setdefault(key, lam) == lam
+                core = key[0]
+                assert pt.n_core_quotient(core, n) == (core, ((),) * n)
 
 
 def test_quotient_normalization_invariance():
@@ -172,6 +178,87 @@ def test_strips_above_examples():
     assert pt.ribbon_strips_above((), 2, 0) == [pt.RibbonStrip((), (), 2, 0, 0)]
     got3 = {(s.target, s.height) for s in pt.ribbon_strips_above((), 3, 1)}
     assert got3 == {((3,), 0), ((2, 1), 1), ((1, 1, 1), 2)}
+
+
+def _horizontal_strips_above(q, total, max_rows):
+    """All partitions obtained from q by adding a horizontal strip of ``total``."""
+
+    def rec(i, remaining, bound, acc):
+        if i == max_rows:
+            if remaining == 0:
+                yield tuple(x for x in acc if x)
+            return
+        cur = q[i] if i < len(q) else 0
+        hi = min(bound, cur + remaining)
+        for new in range(hi, cur - 1, -1):
+            yield from rec(i + 1, remaining - (new - cur), cur, acc + [new])
+
+    yield from rec(0, total, (q[0] if q else 0) + total, [])
+
+
+def _horizontal_strips_below(q, total):
+    """All partitions obtained from q by removing a horizontal strip of ``total``."""
+
+    def rec(i, remaining, acc):
+        if i == len(q):
+            if remaining == 0:
+                yield tuple(x for x in acc if x)
+            return
+        nxt = q[i + 1] if i + 1 < len(q) else 0
+        for new in range(q[i], nxt - 1, -1):
+            spent = q[i] - new
+            if spent > remaining:
+                break
+            yield from rec(i + 1, remaining - spent, acc + [new])
+
+    yield from rec(0, total, [])
+
+
+def _strips_via_quotients(p, n, k, above):
+    """(source, target, height) of every horizontal n-ribbon strip of weight
+    k at p, the quotient way: each n-quotient component grows (above) or
+    shrinks (below) by an ordinary horizontal strip, the sizes a composition
+    of k, and the new quotients go back to bead rows for the crossing count."""
+    rows = pt._runner_rows(p, n, pt._norm_slots(p, n, extra=k))
+    counts = [len(r) for r in rows]
+    quots = [pt._rows_to_quotient(r) for r in rows]
+    # a horizontal strip removed from q has at most q_1 boxes
+    caps = [k] * n if above else [q[0] if q else 0 for q in quots]
+    out = []
+    for comp in product(range(k + 1), repeat=n):
+        if sum(comp) != k or any(c > cap for c, cap in zip(comp, caps)):
+            continue
+        choices = [
+            _horizontal_strips_above(quots[r], comp[r], counts[r])
+            if above
+            else _horizontal_strips_below(quots[r], comp[r])
+            for r in range(n)
+        ]
+        for new_quots in product(*choices):
+            intervals = [[] for _ in range(n)]
+            beta = []
+            for r in range(n):
+                parts = list(new_quots[r]) + [0] * (counts[r] - len(new_quots[r]))
+                new_rows = sorted(x + counts[r] - 1 - i for i, x in enumerate(parts))
+                for old, new in zip(rows[r], new_rows):
+                    lo, hi = (old, new) if above else (new, old)
+                    intervals[r].append((r + n * lo, r + n * hi))
+                beta.extend(r + n * row for row in new_rows)
+            other = pt.partition_from_beta(beta)
+            source, target = (p, other) if above else (other, p)
+            out.append((source, target, pt._crossings(intervals, n)))
+    return out
+
+
+@pytest.mark.parametrize("above", [True, False], ids=["above", "below"])
+def test_strips_match_quotient_oracle(above):
+    strips = pt.ribbon_strips_above if above else pt.ribbon_strips_below
+    for n in (2, 3, 4):
+        for m in range(9):
+            for lam in pt.partitions_of(m):
+                for k in range(5):
+                    got = Counter((s.source, s.target, s.height) for s in strips(lam, n, k))
+                    assert got == Counter(_strips_via_quotients(lam, n, k, above)), (lam, n, k)
 
 
 def _diagram_single_ribbons(lam, n):
