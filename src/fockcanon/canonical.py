@@ -25,7 +25,7 @@ from operator import neg
 
 from . import fock, wedge
 from .fock import FockVector
-from .laurent import ONE, ZERO, LaurentPoly, antisym_split
+from .laurent import ONE, ZERO, LaurentPoly, add_product, antisym_split, collect
 from .partitions import (
     Partition,
     conjugate,
@@ -36,7 +36,6 @@ from .partitions import (
     two_sign,
     yamanouchi_domino_tableaux,
 )
-from .wedge import accumulate
 
 
 class NotApplicableError(ValueError):
@@ -75,14 +74,14 @@ class TransitionMatrix:
         )
 
     def matmul(self, other: "TransitionMatrix") -> "TransitionMatrix":
-        out: dict[tuple[Partition, Partition], LaurentPoly] = {}
+        sums: dict[tuple[Partition, Partition], dict] = {}
         by_row: dict[Partition, list] = {}
         for (r, c), v in other.entries.items():
             by_row.setdefault(r, []).append((c, v))
         for (r, mid), v in self.entries.items():
             for c, w in by_row.get(mid, ()):
-                accumulate(out, (r, c), v * w)
-        return TransitionMatrix("?", self.n, self.m, out)
+                add_product(sums.setdefault((r, c), {}), v, w)
+        return TransitionMatrix("?", self.n, self.m, collect(sums))
 
     def is_identity(self) -> bool:
         return self.entries == {(p, p): ONE for p in self.order}
@@ -124,31 +123,34 @@ def _block_walk(n: int, m: int, column, push, settle):
     Returns the entries of x keyed (row, column).
 
     For the column of mu, acc[lam] sums a[lam, nu] push(x[nu]) over the
-    entries x[nu] solved so far, and x[lam] = settle(acc[lam]).  An entry of
-    a above its diagonal or across two blocks leaves acc nonempty at the end
+    entries x[nu] solved so far, in place as {exponent: int}, and
+    x[lam] = settle(acc[lam]) unless that sum is zero.  An entry of a above
+    its diagonal or across two blocks leaves a nonzero sum in acc at the end
     of the block, which raises AssertionError.
     """
     entries: dict[tuple[Partition, Partition], LaurentPoly] = {}
     for block in blocks(n, m).values():
         columns = {nu: column(nu) for nu in block}
         for i, mu in enumerate(block):
-            acc: dict[Partition, LaurentPoly] = {}
+            acc: dict[Partition, dict[int, int]] = {}
             for lam in block[i:]:
                 if lam == mu:
                     x = ONE
-                elif lam in acc:
-                    x = settle(acc.pop(lam))
                 else:
-                    continue
+                    total = LaurentPoly.from_terms(acc.pop(lam, {}))
+                    if not total:
+                        continue
+                    x = settle(total)
                 entries[(lam, mu)] = x
                 px = push(x)
                 for nu, a in columns[lam].items():
                     if nu != lam:
-                        accumulate(acc, nu, a * px)
-            if acc:
+                        add_product(acc.setdefault(nu, {}), a, px)
+            leftover = collect(acc)
+            if leftover:
                 raise AssertionError(
                     f"columns of the {n}-core block of {mu} are not "
-                    f"unitriangular: {sorted(acc)} left over"
+                    f"unitriangular: {sorted(leftover)} left over"
                 )
     return entries
 

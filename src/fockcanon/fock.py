@@ -14,18 +14,18 @@ from __future__ import annotations
 from math import factorial
 
 from . import symfunc, wedge
-from .laurent import ONE, ZERO, LaurentPoly, divide_exact
+from .laurent import ONE, LaurentPoly, add_product, collect, divide_exact
 from .partitions import (
     Partition,
     add_node_variants,
     node_counts,
+    partition_label,
     partitions_of,
     remove_node_variants,
     revlex_index,
     ribbon_strips_above,
     ribbon_strips_below,
 )
-from .wedge import accumulate
 
 
 class FockVector:
@@ -61,10 +61,11 @@ class FockVector:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            accumulate(out, p, c)
-        return FockVector(out)
+        sums: dict = {}
+        for vec in (self, other):
+            for p, c in vec.terms.items():
+                add_product(sums.setdefault(p, {}), c, ONE)
+        return FockVector(collect(sums))
 
     def __neg__(self) -> "FockVector":
         return FockVector({p: -c for p, c in self.terms.items()})
@@ -87,7 +88,7 @@ class FockVector:
             return (sum(p), revlex_index(sum(p))[p])
         pieces = []
         for p in sorted(self.terms, key=order):
-            ket = "|" + ("".join(str(x) for x in p) if p else "0") + ">"
+            ket = "|" + partition_label(p) + ">"
             c = self.terms[p]
             body, sign = _coeff_str(c)
             pieces.append((sign, body + ket))
@@ -136,11 +137,12 @@ def _coeff_str(c) -> tuple[str, int]:
 
 def _node_action(variants, sign: int, i: int, v: FockVector, n: int) -> FockVector:
     """sum over (p, c) in v and (nu, N, _) in variants(p, i, n) of c q^{sign N} |nu>."""
-    out: dict = {}
+    sums: dict = {}
     for p, c in v.items():
         for nu, count, _ in variants(p, i, n):
-            accumulate(out, nu, c * LaurentPoly.monomial(1, sign * count))
-    return FockVector(out)
+            shift = LaurentPoly.monomial(1, sign * count)
+            add_product(sums.setdefault(nu, {}), c, shift)
+    return FockVector(collect(sums))
 
 
 def f_action(i: int, v: FockVector, n: int) -> FockVector:
@@ -180,14 +182,13 @@ def _strip_action(strips, above: bool, k: int, v: FockVector, n: int) -> FockVec
     c (-1)^h q^{-h} at the strip's target (above) or source (below)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    out: dict = {}
+    sums: dict = {}
     for p, c in v.items():
         for strip in strips(p, n, k):
-            coeff = c * LaurentPoly.monomial(
-                -1 if strip.height % 2 else 1, -strip.height
-            )
-            accumulate(out, strip.target if above else strip.source, coeff)
-    return FockVector(out)
+            key = strip.target if above else strip.source
+            sign = LaurentPoly.monomial(-1 if strip.height % 2 else 1, -strip.height)
+            add_product(sums.setdefault(key, {}), c, sign)
+    return FockVector(collect(sums))
 
 
 def v_op(k: int, v: FockVector, n: int) -> FockVector:
@@ -204,16 +205,17 @@ def u_op(k: int, v: FockVector, n: int) -> FockVector:
 def _chain_sum(chains, op, v: FockVector, n: int) -> FockVector:
     """sum over (parts, weight) in chains of weight * op(parts[-1], ...
     op(parts[0], v)); chains of weight 0 are not applied."""
-    out: dict = {}
+    sums: dict = {}
     for parts, weight in chains:
         if not weight:
             continue
         term = v
         for part in parts:
             term = op(part, term, n)
+        scale = LaurentPoly.monomial(weight)
         for p, c in term.items():
-            accumulate(out, p, c * weight)
-    return FockVector(out)
+            add_product(sums.setdefault(p, {}), c, scale)
+    return FockVector(collect(sums))
 
 
 def _power_sum_expansion(r: int, weight, v: FockVector, n: int) -> FockVector:
@@ -276,13 +278,13 @@ def psi_q(p: Partition, n: int) -> FockVector:
 
 def inner_product(u: FockVector, v: FockVector) -> LaurentPoly:
     """Bilinear pairing with orthonormal standard basis (no conjugation)."""
-    out = ZERO
+    total: dict[int, int] = {}
     small, large = (u, v) if len(u.terms) <= len(v.terms) else (v, u)
     for p, c in small.items():
         other = large.terms.get(p)
         if other is not None:
-            out = out + c * other
-    return out
+            add_product(total, c, other)
+    return LaurentPoly.from_terms(total)
 
 
 # -- bar involution -----------------------------------------------------------
@@ -294,9 +296,9 @@ def bar_basis_vector(p: Partition, n: int) -> FockVector:
 
 def bar(v: FockVector, n: int) -> FockVector:
     """Semi-linear involution: coefficients q -> 1/q, kets to their bar images."""
-    out: dict = {}
+    sums: dict = {}
     for p, c in v.items():
         cb = c.bar()
         for lam, a in wedge.bar_basis(tuple(p), n).items():
-            accumulate(out, lam, a * cb)
-    return FockVector(out)
+            add_product(sums.setdefault(lam, {}), a, cb)
+    return FockVector(collect(sums))

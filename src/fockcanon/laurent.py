@@ -6,6 +6,12 @@ for the ribbon operators, are scaled to integer weights and divided back with
 ``divide_exact``.  Values are immutable and always kept in canonical form: a
 dense coefficient window between the lowest and highest nonzero exponent, the
 zero polynomial having an empty window.
+
+Sums of products, such as the entries of a triangular solve or the
+coefficients of an operator applied to a vector, are not built as a chain of
+immutable values: ``add_product`` adds a*b in place into a sparse
+{exponent: int} dict, and ``collect`` turns a whole table of such dicts into
+LaurentPoly values once, when the sums are read.
 """
 
 from __future__ import annotations
@@ -219,6 +225,30 @@ class LaurentPoly:
                 raise ValueError(f"coefficient {c!r} is not a decimal string")
             out.append(int(c))
         return cls(min_exp, out)
+
+
+def add_product(acc: dict[int, int], a: LaurentPoly, b: LaurentPoly) -> None:
+    """Add a*b into the sparse {exponent: int} sum acc in place.
+
+    Coefficients that cancel stay in acc as zeros; ``collect`` drops them.
+    """
+    bmin, bcoeffs = b.min, b.coeffs
+    for i, x in enumerate(a.coeffs, a.min + bmin):
+        if x:
+            for e, y in enumerate(bcoeffs, i):
+                if y:
+                    acc[e] = acc.get(e, 0) + x * y
+
+
+def collect(sums: dict) -> dict:
+    """{key: LaurentPoly} from {key: {exponent: int}}, without the keys whose
+    sum is zero."""
+    out = {}
+    for key, terms in sums.items():
+        poly = LaurentPoly.from_terms(terms)
+        if poly:
+            out[key] = poly
+    return out
 
 
 ZERO = LaurentPoly()

@@ -17,7 +17,7 @@ import tempfile
 
 from .canonical import TransitionMatrix, blocks
 from .laurent import ONE, LaurentPoly
-from .partitions import Partition, revlex_order
+from .partitions import Partition, partition_label, revlex_order
 
 SCHEMA = "fock-canon/matrix/v1"
 
@@ -137,14 +137,6 @@ def cache_load(directory: str, kind: str, n: int, m: int) -> TransitionMatrix:
 # -- text renderings -----------------------------------------------------------
 
 
-def _label(p: Partition, sep: str = "") -> str:
-    if not p:
-        return "0"
-    if any(x > 9 for x in p) and not sep:
-        return "[" + ",".join(str(x) for x in p) + "]"
-    return sep.join(str(x) for x in p)
-
-
 def _grid(mat: TransitionMatrix, block: Partition | None, text):
     """The partitions shown (the whole order, or the n-core block `block`)
     and their cells: text(entry) where mat has an entry, "0" elsewhere."""
@@ -159,7 +151,7 @@ def _grid(mat: TransitionMatrix, block: Partition | None, text):
 
 def render_pretty(mat: TransitionMatrix, block: Partition | None = None) -> str:
     parts, cells = _grid(mat, block, LaurentPoly.pretty)
-    labels = [_label(p) for p in parts]
+    labels = [partition_label(p) for p in parts]
     width = [
         max([len(row[j]) for row in cells] + [1]) for j in range(len(parts))
     ]
@@ -173,16 +165,18 @@ def render_pretty(mat: TransitionMatrix, block: Partition | None = None) -> str:
 
 def render_csv(mat: TransitionMatrix, block: Partition | None = None) -> str:
     parts, cells = _grid(mat, block, LaurentPoly.pretty)
-    lines = ["," + ",".join(_label(p) for p in parts)]
+    lines = ["," + ",".join(partition_label(p) for p in parts)]
     for r, row in zip(parts, cells):
-        lines.append(_label(r) + "," + ",".join(row))
+        lines.append(partition_label(r) + "," + ",".join(row))
     return "\n".join(lines) + "\n"
 
 
 def render_latex(mat: TransitionMatrix, block: Partition | None = None) -> str:
     parts, cells = _grid(mat, block, LaurentPoly.latex)
     lines = [r"\begin{array}{" + "c" * (len(parts) + 1) + "}"]
-    rows = [" & ".join([_label(r, sep=" ")] + row) for r, row in zip(parts, cells)]
+    rows = [
+        " & ".join([partition_label(r, sep=" ")] + row) for r, row in zip(parts, cells)
+    ]
     lines.append(" \\\\\n".join(rows))
     lines.append(r"\end{array}")
     return "\n".join(lines) + "\n"

@@ -46,6 +46,18 @@ def check_partition(parts) -> Partition:
     return p
 
 
+def partition_label(p: Partition, sep: str = "") -> str:
+    """Text form of p for kets and matrix labels: "0" for the empty partition,
+    else the parts joined by sep.  With no sep a part above 9 would make the
+    parts run together ((11) and (1,1) both read "11"), so such a partition
+    is written as a bracketed list, "[11]"."""
+    if not p:
+        return "0"
+    if any(x > 9 for x in p) and not sep:
+        return "[" + ",".join(str(x) for x in p) + "]"
+    return sep.join(str(x) for x in p)
+
+
 def conjugate(p: Partition) -> Partition:
     if not p:
         return ()

@@ -18,7 +18,7 @@ as (2,2) for n=2 or (3,3,3,1) for n=3, are straightened by word reversal.
 from __future__ import annotations
 
 from . import _straighten_py as _kernel
-from .laurent import ONE, LaurentPoly
+from .laurent import ONE, LaurentPoly, add_product, collect
 from .partitions import (
     Partition,
     add_node_variants,
@@ -114,16 +114,6 @@ def straighten(head, n: int) -> dict[Word, LaurentPoly]:
     return out
 
 
-def accumulate(acc: dict, key, coeff) -> None:
-    """Add coeff into acc[key] in place, dropping the key when the sum is 0."""
-    cur = acc.get(key)
-    val = coeff if cur is None else cur + coeff
-    if val:
-        acc[key] = val
-    else:
-        acc.pop(key, None)
-
-
 def b_action_words(k: int, wv: dict, n: int) -> dict:
     """Heisenberg generator B_k on a WedgeVector.
 
@@ -135,7 +125,7 @@ def b_action_words(k: int, wv: dict, n: int) -> dict:
         raise ValueError("k must be nonzero")
     shift = abs(k) * n
     delta = shift if k < 0 else -shift
-    out: dict = {}
+    sums: dict = {}
     for word, coeff in wv.items():
         base = minimal_head(word)
         span = len(base) + shift
@@ -143,8 +133,8 @@ def b_action_words(k: int, wv: dict, n: int) -> dict:
         for j in range(span):
             moved = w[:j] + (w[j] + delta,) + w[j + 1 :]
             for res, poly in _straighten_minimal(minimal_head(moved), n):
-                accumulate(out, res, coeff * poly)
-    return out
+                add_product(sums.setdefault(res, {}), coeff, poly)
+    return collect(sums)
 
 
 def _bar_by_straightening(
@@ -198,14 +188,16 @@ def _f_column(
     them lie below b, so every lam-b+a is lex-smaller than lam.  Every image
     used must already be in _bar_images.
     """
-    col: dict[Partition, LaurentPoly] = {}
+    sums: dict[Partition, dict[int, int]] = {}
     for nu, c in _bar_images[(n, mu)].items():
         for target, e_nu, _ in add_node_variants(nu, i, n):
-            accumulate(col, target, c * LaurentPoly.monomial(1, e + e_nu))
+            shift = LaurentPoly.monomial(1, e + e_nu)
+            add_product(sums.setdefault(target, {}), c, shift)
     for target, e_a in others.items():
         scale = LaurentPoly.monomial(-1, e - e_a)
         for nu, c in _bar_images[(n, target)].items():
-            accumulate(col, nu, c * scale)
+            add_product(sums.setdefault(nu, {}), c, scale)
+    col = collect(sums)
     rank = revlex_index(sum(lam))
     if col.get(lam) != ONE or any(rank[nu] < rank[lam] for nu in col):
         raise AssertionError(f"bar|{lam}> built through f_{i} is not unitriangular")

@@ -133,6 +133,10 @@ def test_apply_examples(capsys):
     assert (code, out.strip()) == (0, "|2> - q^-1|11>")
     code, out = run_cli(capsys, "apply", "B", "--k", "1", "-n", "2", "--vector", "[]")
     assert (code, out.strip()) == (0, "0")
+    # (11) is bracketed, as in the matrix renderers, so it cannot read as (1,1)
+    code, out = run_cli(capsys, "apply", "B", "--k", "-5", "-n", "2", "--vector", "1")
+    assert code == 0 and out.startswith("|[11]> - |92> + q^-2|821> + ")
+    assert out.strip().endswith(" - q^-5|11111111111>") and "|11>" not in out
 
 
 @pytest.mark.parametrize(

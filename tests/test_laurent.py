@@ -2,7 +2,7 @@ import ast
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import fockcanon
 from fockcanon.laurent import (
@@ -11,7 +11,9 @@ from fockcanon.laurent import (
     LaurentPoly,
     NonIntegralResultError,
     NotAntisymmetricError,
+    add_product,
     antisym_split,
+    collect,
     divide_exact,
     q_int,
 )
@@ -113,6 +115,29 @@ def test_antisym_round_trip(p):
 def test_json_round_trip(p):
     assert LaurentPoly.from_json(p.to_json()) == p
     assert all(isinstance(c, str) for c in p.to_json()["c"])
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), small_polys, small_polys, st.booleans()),
+        max_size=8,
+    )
+)
+@example([(0, P({1: 1, -1: -1}), P({0: 2, 2: 1}), True), (1, P({1: 1}), ONE, False)])
+def test_add_product_matches_laurent_fold(draws):
+    """The in-place accumulator against the immutable fold a*b + ...; each
+    product drawn with the flag set is also added negated, so keys whose
+    products all carry it cancel to zero and must be absent."""
+    products = []
+    for key, a, b, cancel in draws:
+        products.append((key, a, b))
+        if cancel:
+            products.append((key, -a, b))
+    sums, expected = {}, {}
+    for key, a, b in products:
+        add_product(sums.setdefault(key, {}), a, b)
+        expected[key] = expected.get(key, ZERO) + a * b
+    assert collect(sums) == {k: v for k, v in expected.items() if v}
 
 
 def test_pretty():
