@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import fock, matrixio, verify
 from .canonical import (
@@ -152,7 +153,9 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fock-canon",
         description="Canonical bases of the q-deformed Fock space, exactly.",

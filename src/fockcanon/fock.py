@@ -136,10 +136,10 @@ def _coeff_str(c) -> tuple[str, int]:
 
 
 def _node_action(variants, sign: int, i: int, v: FockVector, n: int) -> FockVector:
-    """sum over (p, c) in v and (nu, N, _) in variants(p, i, n) of c q^{sign N} |nu>."""
+    """sum over (p, c) in v and (nu, N) in variants(p, i, n) of c q^{sign N} |nu>."""
     sums: dict = {}
     for p, c in v.items():
-        for nu, count, _ in variants(p, i, n):
+        for nu, count in variants(p, i, n):
             shift = LaurentPoly.monomial(1, sign * count)
             add_product(sums.setdefault(nu, {}), c, shift)
     return FockVector(collect(sums))
@@ -169,10 +169,12 @@ def weight_exponents(p: Partition, n: int) -> tuple[tuple[int, ...], int]:
 
 
 def b_action(k: int, v: FockVector, n: int) -> FockVector:
-    """Heisenberg generator B_k through the wedge picture."""
+    """Heisenberg generator B_k through the wedge picture.  B_k lowers the
+    degree by kn, so a term |p> with |p| < kn maps to 0 and is not straightened."""
     wv = {}
     for p, c in v.items():
-        wv[wedge.minimal_head(wedge.partition_to_word(p, len(p)))] = c
+        if sum(p) >= k * n:
+            wv[wedge.minimal_head(wedge.partition_to_word(p, len(p)))] = c
     out = wedge.b_action_words(k, wv, n)
     return FockVector({wedge.word_to_partition(w): c for w, c in out.items()})
 

@@ -5,6 +5,13 @@ Partitions are plain tuples of weakly decreasing positive integers; the empty
 tuple is the empty partition.  Cells are 1-indexed (row, col) pairs in English
 orientation, and the n-residue of a cell (r, c) is (c - r) mod n.
 
+The rim of a partition is read once, by ``rim_nodes``: its addable and
+removable nodes, top row first.  Along that list the nodes of one residue i
+stand in strictly decreasing columns, so for an i-node b, N_i^r (addable
+minus removable i-nodes right of b) is the signed count of the i-nodes
+before b and N_i^l (left of b) that of the i-nodes after it.  f_i adds b
+with weight q^{N_i^r}, e_i removes it with q^{-N_i^l}.
+
 Horizontal n-ribbon strips are bead moves on the Littlewood abacus: mu/lam
 is a horizontal strip of weight k iff the beads of mu come from those of lam
 by moves up the runners, k steps in all, each bead stopping short of the old
@@ -111,31 +118,21 @@ def revlex_index(m: int) -> dict[Partition, int]:
 # -- nodes and residues ------------------------------------------------------
 
 
-def cell_residue(cell: Cell, n: int) -> int:
-    r, c = cell
-    return (c - r) % n
-
-
 def diagram(p: Partition) -> set[Cell]:
     return {(r + 1, c + 1) for r, part in enumerate(p) for c in range(part)}
 
 
-def addable_cells(p: Partition) -> list[Cell]:
-    cells = []
+def rim_nodes(p: Partition, n: int) -> list[tuple[int, int, int]]:
+    """(sign, row, residue) for each addable (+1) and removable (-1) node of
+    p, rows 0-indexed, top row first and in a row the addable node first."""
+    nodes = []
     for r in range(len(p) + 1):
-        c = (p[r] if r < len(p) else 0) + 1
-        if r == 0 or p[r - 1] >= c:
-            cells.append((r + 1, c))
-    return cells
-
-
-def removable_cells(p: Partition) -> list[Cell]:
-    cells = []
-    for r, part in enumerate(p):
-        nxt = p[r + 1] if r + 1 < len(p) else 0
-        if part > nxt:
-            cells.append((r + 1, part))
-    return cells
+        part = p[r] if r < len(p) else 0
+        if r == 0 or p[r - 1] > part:
+            nodes.append((1, r, (part - r) % n))
+        if part and (r + 1 == len(p) or p[r + 1] < part):
+            nodes.append((-1, r, (part - r - 1) % n))
+    return nodes
 
 
 class NodeCounts(NamedTuple):
@@ -150,70 +147,42 @@ class NodeCounts(NamedTuple):
 def node_counts(p: Partition, n: int) -> NodeCounts:
     indent = [0] * n
     removable = [0] * n
-    for cell in addable_cells(p):
-        indent[cell_residue(cell, n)] += 1
-    for cell in removable_cells(p):
-        removable[cell_residue(cell, n)] += 1
-    zero = sum(1 for cell in diagram(p) if cell_residue(cell, n) == 0)
+    for sign, _, i in rim_nodes(p, n):
+        (indent if sign > 0 else removable)[i] += 1
+    zero = sum(1 for r, c in diagram(p) if (c - r) % n == 0)
     diff = tuple(i - r for i, r in zip(indent, removable))
     return NodeCounts(tuple(indent), tuple(removable), diff, zero)
 
 
-def _with_cell(p: Partition, cell: Cell) -> Partition:
-    r = cell[0] - 1
-    parts = list(p) + [0]
-    parts[r] += 1
-    return tuple(x for x in parts if x)
-
-
-def _without_cell(p: Partition, cell: Cell) -> Partition:
-    r = cell[0] - 1
-    parts = list(p)
-    parts[r] -= 1
-    return tuple(x for x in parts if x)
-
-
-def _side_counts(p: Partition, i: int, n: int, col: int) -> tuple[int, int]:
-    """(N_right, N_left) for the i-nodes of p relative to column ``col``.
-
-    Addable and removable i-nodes occupy pairwise distinct columns, so
-    "left"/"right" of a node means strictly smaller/larger column index.
-    """
-    n_r = n_l = 0
-    for cell in addable_cells(p):
-        if cell_residue(cell, n) == i and cell[1] != col:
-            if cell[1] > col:
-                n_r += 1
-            else:
-                n_l += 1
-    for cell in removable_cells(p):
-        if cell_residue(cell, n) == i and cell[1] != col:
-            if cell[1] > col:
-                n_r -= 1
-            else:
-                n_l -= 1
-    return n_r, n_l
-
-
-def add_node_variants(p: Partition, i: int, n: int) -> list[tuple[Partition, int, int]]:
-    """All (mu, N_i^r, N_i^l) with mu/p a single i-node."""
-    out = []
-    for cell in addable_cells(p):
-        if cell_residue(cell, n) == i:
-            n_r, n_l = _side_counts(p, i, n, cell[1])
-            out.append((_with_cell(p, cell), n_r, n_l))
+def add_node_variants(p: Partition, i: int, n: int) -> list[tuple[Partition, int]]:
+    """All (mu, N_i^r) with mu/p a single i-node b: N_i^r is the number of
+    addable minus removable i-nodes of p to the right of b."""
+    out, count = [], 0
+    padded = p + (0,)
+    for sign, r, res in rim_nodes(p, n):
+        if res == i:
+            if sign > 0:
+                out.append((padded[:r] + (padded[r] + 1,) + p[r + 1 :], count))
+            count += sign
     return out
 
 
-def remove_node_variants(p: Partition, i: int, n: int) -> list[tuple[Partition, int, int]]:
-    """All (lam, N_i^l, N_i^r) with p/lam a single i-node."""
-    out = []
-    for cell in removable_cells(p):
-        if cell_residue(cell, n) == i:
-            lam = _without_cell(p, cell)
-            n_r, n_l = _side_counts(lam, i, n, cell[1])
-            out.append((lam, n_l, n_r))
-    return out
+def remove_node_variants(p: Partition, i: int, n: int) -> list[tuple[Partition, int]]:
+    """All (lam, N_i^l) with p/lam a single i-node b: N_i^l is the number of
+    addable minus removable i-nodes of p to the left of b."""
+    out, count = [], 0
+    for sign, r, res in reversed(rim_nodes(p, n)):
+        if res == i:
+            if sign < 0:
+                out.append((remove_node(p, r), count))
+            count += sign
+    return out[::-1]
+
+
+def remove_node(p: Partition, r: int) -> Partition:
+    """p without the removable node of row r (0-indexed)."""
+    lam = p[:r] + (p[r] - 1,) + p[r + 1 :]
+    return lam if lam[-1] else lam[:-1]
 
 
 def is_n_regular(p: Partition, n: int) -> bool:

@@ -22,10 +22,9 @@ from .laurent import ONE, LaurentPoly, add_product, collect
 from .partitions import (
     Partition,
     add_node_variants,
-    addable_cells,
-    cell_residue,
-    removable_cells,
+    remove_node,
     revlex_index,
+    rim_nodes,
 )
 
 
@@ -166,15 +165,15 @@ def _bar_by_straightening(
 
 
 def _f_step(lam: Partition, n: int) -> tuple[int, Partition] | None:
-    """(i, mu) with lam = mu + b for the first removable node b, top to
-    bottom, whose residue i has no addable i-node of lam in a row above b;
+    """(i, mu) with lam = mu + b for the first removable node b in rim order
+    whose residue i has no addable node of lam before b (in a row above it);
     None when there is no such node."""
-    addable = addable_cells(lam)
-    for row, col in removable_cells(lam):
-        i = cell_residue((row, col), n)
-        if all(a[0] > row or cell_residue(a, n) != i for a in addable):
-            mu = lam[: row - 1] + (col - 1,) + lam[row:]
-            return i, mu if col > 1 else mu[:-1]
+    seen = set()
+    for sign, r, i in rim_nodes(lam, n):
+        if sign > 0:
+            seen.add(i)
+        elif i not in seen:
+            return i, remove_node(lam, r)
     return None
 
 
@@ -190,7 +189,7 @@ def _f_column(
     """
     sums: dict[Partition, dict[int, int]] = {}
     for nu, c in _bar_images[(n, mu)].items():
-        for target, e_nu, _ in add_node_variants(nu, i, n):
+        for target, e_nu in add_node_variants(nu, i, n):
             shift = LaurentPoly.monomial(1, e + e_nu)
             add_product(sums.setdefault(target, {}), c, shift)
     for target, e_a in others.items():
@@ -225,7 +224,7 @@ def bar_basis(p: Partition, n: int) -> dict[Partition, LaurentPoly]:
             _bar_images[(n, lam)] = _bar_by_straightening(lam, n) if lam else {(): ONE}
             continue
         i, mu = step
-        others = {target: e_a for target, e_a, _ in add_node_variants(mu, i, n)}
+        others = dict(add_node_variants(mu, i, n))
         e = others.pop(lam)
         missing = [nu for nu in (mu, *others) if (n, nu) not in _bar_images]
         if missing:

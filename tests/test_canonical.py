@@ -147,6 +147,37 @@ def test_broken_bar_image_fails_loudly(monkeypatch, mu, lam, poly, error):
         canonical_lower.cache_clear()
 
 
+# Evidence that D holds q-decomposition numbers, as the paper conjectures.
+CONJECTURE_RANGE = ((2, 10), (3, 9), (4, 9))
+
+
+def test_upper_coefficients_are_nonnegative():
+    # Varagnolo-Vasserot: every coefficient of every d_{lam mu}(q) is >= 0.
+    for n, top in CONJECTURE_RANGE:
+        for m in range(top + 1):
+            for (lam, mu), poly in canonical_upper(n, m).entries.items():
+                assert all(a >= 0 for _, a in poly.terms()), (n, lam, mu, poly)
+
+
+@pytest.mark.parametrize("side", ["row", "column"])
+def test_upper_first_row_and_column_removal(side):
+    # Chuang-Miyachi-Tan: d_{lam mu} = d_{lam' mu'} when lam and mu share
+    # their first row (column), lam' and mu' being lam and mu without it.
+    flip = conjugate if side == "column" else tuple
+    pairs = 0
+    for n, top in CONJECTURE_RANGE:
+        d = [canonical_upper(n, m) for m in range(top + 1)]
+        for m in range(1, top + 1):
+            for lam in revlex_order(m):
+                for mu in revlex_order(m):
+                    a, b = flip(lam), flip(mu)
+                    if a[0] == b[0]:
+                        pairs += 1
+                        smaller = d[m - a[0]].entry(flip(a[1:]), flip(b[1:]))
+                        assert d[m].entry(lam, mu) == smaller, (n, lam, mu)
+    assert pairs == 1202
+
+
 def test_bar_invariance_of_bases():
     for n in (2, 3):
         for m in range(6):

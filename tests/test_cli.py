@@ -236,6 +236,15 @@ def test_apply_missing_operator_argument_exits_2():
     assert exc.value.code == 2
 
 
+def test_main_calls_do_not_share_options(capsys):
+    code, out = run_cli(capsys, "apply", "f", "--i", "0", "-n", "2", "--vector", "0")
+    assert (code, out) == (0, "|1>\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["apply", "f", "-n", "2", "--vector", "1"])
+    assert exc.value.code == 2
+    assert "needs --i" in capsys.readouterr().err
+
+
 def test_verify_exit_codes(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "tables", "-n", "2", "--max-m", "4")
     assert code == 0

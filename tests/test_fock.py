@@ -195,6 +195,15 @@ def test_b_action_heisenberg_relation():
                     assert lhs == v.scale(scalar)
 
 
+def test_b_action_below_degree_kn_is_zero_without_straightening(monkeypatch):
+    def refuse(terms, n):
+        raise AssertionError("a term of degree below kn was straightened")
+
+    monkeypatch.setattr(fock.wedge._kernel, "straighten_terms", refuse)
+    assert not fock.b_action(50, basis((1,)), 2)
+    assert not fock.b_action(1, basis((1, 1)) + basis(()), 3)
+
+
 def test_vector_pretty_and_json():
     v = basis((2,)) + basis((1, 1)).scale(P({-1: -1}))
     assert v.pretty() == "|2> - q^-1|11>"

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from fockcanon import partitions as pt
+from fockcanon import partitions as pt, wedge
 
 
 partitions_strategy = st.builds(
@@ -94,21 +94,96 @@ def test_node_counts_sum_is_one():
 
 
 def test_add_node_variants_examples():
-    assert pt.add_node_variants((1,), 1, 2) == [((2,), 0, 1), ((1, 1), 1, 0)]
+    assert pt.add_node_variants((1,), 1, 2) == [((2,), 0), ((1, 1), 1)]
     assert pt.add_node_variants((1,), 0, 2) == []
-    assert pt.add_node_variants((), 0, 2) == [((1,), 0, 0)]
+    assert pt.add_node_variants((), 0, 2) == [((1,), 0)]
 
 
-def test_side_counts_consistent_with_totals():
-    # for an addable i-node, left + right counts plus the node itself
-    # recover the total N_i of the smaller partition
-    for m in range(7):
+def _addable_cells(p):
+    return [
+        (r + 1, (p[r] if r < len(p) else 0) + 1)
+        for r in range(len(p) + 1)
+        if r == 0 or p[r - 1] > (p[r] if r < len(p) else 0)
+    ]
+
+
+def _removable_cells(p):
+    return [
+        (r + 1, part)
+        for r, part in enumerate(p)
+        if part > (p[r + 1] if r + 1 < len(p) else 0)
+    ]
+
+
+def _residue(cell, n):
+    return (cell[1] - cell[0]) % n
+
+
+def _side_counts(p, i, n, col):
+    """(N_right, N_left): addable minus removable i-nodes of p in a column
+    strictly right or left of col, cell by cell."""
+    n_r = n_l = 0
+    for cells, sign in ((_addable_cells(p), 1), (_removable_cells(p), -1)):
+        for cell in cells:
+            if _residue(cell, n) == i and cell[1] > col:
+                n_r += sign
+            elif _residue(cell, n) == i and cell[1] < col:
+                n_l += sign
+    return n_r, n_l
+
+
+def _with_row(p, r, delta):
+    parts = list(p) + [0]
+    parts[r - 1] += delta
+    return tuple(x for x in parts if x)
+
+
+def _oracle_variants(p, i, n):
+    """(add, remove) lists as the cell-by-cell rule gives them: N_i^r for an
+    added node, N_i^l for a removed one, counted on the smaller partition."""
+    add = [
+        (_with_row(p, r, 1), _side_counts(p, i, n, c)[0])
+        for r, c in _addable_cells(p)
+        if _residue((r, c), n) == i
+    ]
+    remove = []
+    for r, c in _removable_cells(p):
+        if _residue((r, c), n) == i:
+            lam = _with_row(p, r, -1)
+            remove.append((lam, _side_counts(lam, i, n, c)[1]))
+    return add, remove
+
+
+def _oracle_f_step(lam, n):
+    addable = _addable_cells(lam)
+    for row, col in _removable_cells(lam):
+        i = _residue((row, col), n)
+        if all(a[0] > row or _residue(a, n) != i for a in addable):
+            return i, _with_row(lam, row, -1)
+    return None
+
+
+def test_node_variants_match_cell_oracle():
+    for m in range(9):
         for lam in pt.partitions_of(m):
-            for n in (2, 3):
-                totals = pt.node_counts(lam, n).diff
+            for n in (2, 3, 4):
+                counts = pt.node_counts(lam, n)
+                for cells, tally in ((_addable_cells(lam), counts.indent),
+                                     (_removable_cells(lam), counts.removable)):
+                    assert tally == tuple(
+                        sum(_residue(cell, n) == i for cell in cells) for i in range(n)
+                    )
                 for i in range(n):
-                    for _, n_r, n_l in pt.add_node_variants(lam, i, n):
-                        assert n_l + n_r + 1 == totals[i]
+                    add, remove = _oracle_variants(lam, i, n)
+                    assert pt.add_node_variants(lam, i, n) == add
+                    assert pt.remove_node_variants(lam, i, n) == remove
+
+
+def test_f_step_matches_cell_oracle():
+    for m in range(10):
+        for lam in pt.partitions_of(m):
+            for n in (2, 3, 4):
+                assert wedge._f_step(lam, n) == _oracle_f_step(lam, n)
 
 
 def test_remove_node_variants_inverse_of_add():
@@ -116,9 +191,9 @@ def test_remove_node_variants_inverse_of_add():
         for lam in pt.partitions_of(m):
             for n in (2, 3):
                 for i in range(n):
-                    ups = {mu for mu, _, _ in pt.add_node_variants(lam, i, n)}
+                    ups = {mu for mu, _ in pt.add_node_variants(lam, i, n)}
                     for mu in ups:
-                        downs = {x for x, _, _ in pt.remove_node_variants(mu, i, n)}
+                        downs = {x for x, _ in pt.remove_node_variants(mu, i, n)}
                         assert lam in downs
 
 

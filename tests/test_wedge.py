@@ -161,8 +161,8 @@ def test_broken_f_step_is_caught(monkeypatch, name):
 
     def broken(p, i, n):
         return [
-            (mu, n_r + 1 if name == "shifted" else -n_r, n_l)
-            for mu, n_r, n_l in real(p, i, n)
+            (mu, n_r + 1 if name == "shifted" else -n_r)
+            for mu, n_r in real(p, i, n)
         ]
 
     monkeypatch.setattr(wedge, "add_node_variants", broken)
