@@ -116,9 +116,9 @@ def cache_store(directory: str, mat: TransitionMatrix) -> str:
 
 
 def cache_load(directory: str, kind: str, n: int, m: int) -> TransitionMatrix:
-    """Load a cached matrix.  Raises CacheMissError when there is no entry and
+    """Load a cached matrix.  Raises CacheMissError when there is no entry,
     SchemaMismatchError when the entry cannot be decoded or does not match
-    its key."""
+    its key, and ValueError when the entry cannot be opened or read."""
     path = cache_path(directory, kind, n, m)
     try:
         with open(path) as fh:
@@ -130,6 +130,8 @@ def cache_load(directory: str, kind: str, n: int, m: int) -> TransitionMatrix:
         return matrix_from_doc(doc)
     except FileNotFoundError:
         raise CacheMissError(f"no cache entry {path}") from None
+    except OSError as exc:
+        raise ValueError(f"cache entry {path} is unusable: {exc.strerror}") from None
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise SchemaMismatchError(f"cache entry {path} cannot be decoded: {exc}") from exc
 

@@ -15,10 +15,13 @@ with weight q^{N_i^r}, e_i removes it with q^{-N_i^l}.
 Horizontal n-ribbon strips are bead moves on the Littlewood abacus: mu/lam
 is a horizontal strip of weight k iff the beads of mu come from those of lam
 by moves up the runners, k steps in all, each bead stopping short of the old
-place of the next bead on its runner.  The height statistic is the number of
-bead crossings, counted by the static interval rule implemented in
-``_crossings`` (cross-validated against the Heisenberg description of the
-same operators, see the fock module).
+place of the next bead on its runner.  ``_replay`` makes those steps one at
+a time, in increasing order of destination; each adds an n-ribbon whose
+height (rows - 1) is the number of beads it passes.  So the height of a
+strip is the number of beads passed (cross-validated against the Heisenberg
+description of the same operators, see the fock module), a domino is
+vertical iff its step passes a bead, and the 2-sign of a partition is the
+parity of the beads passed on the way up from the empty partition.
 """
 
 from __future__ import annotations
@@ -272,27 +275,15 @@ def _compositions(total: int, caps: list[int]):
             yield (first,) + rest
 
 
-def _crossings(intervals_by_runner: list[list[tuple[int, int]]], n: int) -> int:
-    """Total bead crossings of a strip move set.
-
-    Each interval is the (initial, final) abacus position of one bead.  A
-    moving bead crosses every position strictly inside its travel interval,
-    on another runner, that lies inside some bead's closed travel interval.
-    """
-
-    def covered(x: int) -> bool:
-        for a, b in intervals_by_runner[x % n]:
-            if a <= x <= b:
-                return True
-        return False
-
-    h = 0
-    for runner in intervals_by_runner:
-        for a, b in runner:
-            for x in range(a + 1, b):
-                if (x - a) % n and covered(x):
-                    h += 1
-    return h
+def _replay(beads: set[int], dests, n: int) -> Iterator[tuple[int, int]]:
+    """Move beads up one runner step at a time, to each of dests in increasing
+    order, yielding before each move its origin and the number of beads it
+    passes (those strictly between origin and destination)."""
+    for d in sorted(dests):
+        o = d - n
+        yield o, sum(b in beads for b in range(o + 1, d))
+        beads.remove(o)
+        beads.add(d)
 
 
 def _ribbon_strips(p: Partition, n: int, k: int, above: bool) -> list[RibbonStrip]:
@@ -317,17 +308,14 @@ def _ribbon_strips(p: Partition, n: int, k: int, above: bool) -> list[RibbonStri
             standing.append(b)
     strips = []
     for comp in _compositions(k, rooms):
-        intervals: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for b in standing:
-            intervals[b % n].append((b, b))
-        moved = []
-        for b, steps in zip(movers, comp):
-            new = b + step * steps
-            intervals[b % n].append((min(b, new), max(b, new)))
-            moved.append(new)
+        moved = [b + step * steps for b, steps in zip(movers, comp)]
+        # replay upward from the beads before the strip
+        lows, highs = (movers, moved) if above else (moved, movers)
+        dests = [d for lo, hi in zip(lows, highs) for d in range(lo + n, hi + 1, n)]
+        height = sum(passed for _, passed in _replay(set(standing + lows), dests, n))
         other = partition_from_beta(standing + moved)
         source, target = (p, other) if above else (other, p)
-        strips.append(RibbonStrip(source, target, n, k, _crossings(intervals, n)))
+        strips.append(RibbonStrip(source, target, n, k, height))
     return strips
 
 
@@ -341,92 +329,36 @@ def ribbon_strips_below(p: Partition, n: int, k: int) -> list[RibbonStrip]:
     return _ribbon_strips(p, n, k, above=False)
 
 
-def strip_ribbon_cells(source: Partition, target: Partition, n: int):
-    """Canonical ribbon tiling of the strip target/source.
-
-    Elementary bead moves are replayed in increasing order of destination;
-    each move contributes one ribbon, returned as (frozenset of cells, height).
-    """
-    slots = _norm_slots(target, n, extra=1)
-    if slots < max(len(source), 1):
-        slots = _norm_slots(source, n, extra=1)
-    src_rows = _runner_rows(source, n, slots)
-    tgt_rows = _runner_rows(target, n, slots)
-    moves = []
-    for r in range(n):
-        if len(src_rows[r]) != len(tgt_rows[r]):
-            raise ValueError("not a strip: runner bead counts differ")
-        for old, new in zip(src_rows[r], tgt_rows[r]):
-            if new < old:
-                raise ValueError("target does not contain source")
-            for step in range(old, new):
-                start = r + n * step
-                moves.append((start + n, start))  # (destination, origin)
-    moves.sort()
-    beads = set(b for r in range(n) for b in (r + n * row for row in src_rows[r]))
-    ribbons = []
-    current = source
-    for dest, origin in moves:
-        if dest in beads or origin not in beads:
-            raise ValueError("inconsistent move sequence")
-        beads.remove(origin)
-        beads.add(dest)
-        after = partition_from_beta(beads)
-        cells = frozenset(diagram(after) - diagram(current))
-        if len(cells) != n:
-            raise ValueError("move did not add a single ribbon")
-        height = len({r for r, _ in cells})
-        ribbons.append((cells, height))
-        current = after
-    if current != target:
-        raise ValueError("moves did not reach the target shape")
-    return ribbons
-
-
 # -- dominoes (n = 2) ----------------------------------------------------------
 
 
 def two_sign(p: Partition) -> int:
     """(-1)^v for v the vertical-domino count of any tiling of p."""
     slots = _norm_slots(p, 2)
-    beads = set(beta_set(p, slots))
-    v = 0
-    moved = True
-    while moved:
-        moved = False
-        for b in sorted(beads):
-            if b >= 2 and (b - 2) not in beads:
-                beads.remove(b)
-                beads.add(b - 2)
-                if (b - 1) in beads:
-                    v += 1
-                moved = True
-                break
-    if beads != set(range(slots)):
+    rows = _runner_rows(p, 2, slots)
+    if len(rows[0]) != len(rows[1]):
         raise NotTileableError(f"{p} has a nonempty 2-core")
+    beads, v = set(range(slots)), 0
+    for j in reversed(range(slots // 2)):  # top beads first: no step lands on a bead yet to move
+        dests = [r + 2 * s for r in (0, 1) for s in range(j + 1, rows[r][j] + 1)]
+        v += sum(passed for _, passed in _replay(beads, dests, 2))
     return -1 if v % 2 else 1
 
 
 class DominoTableau(NamedTuple):
-    """A semistandard domino tableau, stored as labeled dominoes."""
+    """A semistandard domino tableau: (label, top-left cell) per domino."""
 
     shape: Partition
     weight: Partition
-    dominoes: tuple[tuple[int, frozenset[Cell]], ...]
+    dominoes: tuple[tuple[int, Cell], ...]
     vertical: int
 
 
-def _reading_word(dominoes) -> list[int]:
-    # Each domino is recorded at its topmost-leftmost cell; the word reads
-    # columns right to left, top to bottom inside each column.
-    recorded = [(min(cells), label) for label, cells in dominoes]
-    recorded.sort(key=lambda t: (-t[0][1], t[0][0]))
-    return [label for _, label in recorded]
-
-
-def _is_yamanouchi(word) -> bool:
+def _is_yamanouchi(dominoes) -> bool:
+    """Whether the column reading word is a lattice word: the labels at the
+    top-left cells, columns right to left, top to bottom inside each."""
     counts: dict[int, int] = {}
-    for a in word:
+    for a, _ in sorted(dominoes, key=lambda d: (-d[1][1], d[1][0])):
         counts[a] = counts.get(a, 0) + 1
         if a > 1 and counts[a] > counts.get(a - 1, 0):
             return False
@@ -437,29 +369,37 @@ def yamanouchi_domino_tableaux(shape: Partition, weight: Partition) -> list[Domi
     """All Yamanouchi domino tableaux of the given shape and weight.
 
     A semistandard domino tableau is a chain of horizontal 2-ribbon strips,
-    one per label, removed here from the shape down, the last label first;
-    the Yamanouchi condition filters on the column reading word.  The
-    vertical-domino count equals the sum of strip heights.
+    one per label, removed here from the shape down, the last label first.
+    Replaying a strip from its source, the step from bead o with `below`
+    beads under it adds the domino with top-left cell
+    (slots - below - passed, o - below + 1).  The vertical-domino count is
+    the sum of strip heights.
     """
     if sum(shape) != 2 * sum(weight):
         raise SizeMismatchError(f"|{shape}| != 2|{weight}|")
     out: list[DominoTableau] = []
 
-    def rec(current: Partition, label: int, dominoes):
+    def rec(current: Partition, label: int, dominoes, vertical: int):
         if label == 0:
-            if not _is_yamanouchi(_reading_word(dominoes)):
-                return
-            v = sum(1 for _, cells in dominoes if len({r for r, _ in cells}) == 2)
-            out.append(DominoTableau(shape, weight, dominoes, v))
+            if _is_yamanouchi(dominoes):
+                out.append(DominoTableau(shape, weight, dominoes, vertical))
             return
+        slots = _norm_slots(current, 2)
+        highs = _runner_rows(current, 2, slots)
         for strip in ribbon_strips_below(current, 2, weight[label - 1]):
-            ribbons = strip_ribbon_cells(strip.source, current, 2)
-            assert sum(ht - 1 for _, ht in ribbons) == strip.height
-            rec(
-                strip.source,
-                label - 1,
-                tuple((label, cells) for cells, _ in ribbons) + dominoes,
-            )
+            lows = _runner_rows(strip.source, 2, slots)
+            dests = [
+                r + 2 * s
+                for r in (0, 1)
+                for lo, hi in zip(lows[r], highs[r])
+                for s in range(lo + 1, hi + 1)
+            ]
+            beads = set(beta_set(strip.source, slots))
+            cells = []
+            for o, passed in _replay(beads, dests, 2):
+                below = sum(b < o for b in beads)
+                cells.append((label, (slots - below - passed, o - below + 1)))
+            rec(strip.source, label - 1, tuple(cells) + dominoes, vertical + strip.height)
 
-    rec(shape, len(weight), ())
+    rec(shape, len(weight), (), 0)
     return out

@@ -344,11 +344,14 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, m, damage):
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])
-@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
-def test_unusable_cache_dir_exits_2_before_computing(tmp_path, capsys, monkeypatch, via, below):
+@pytest.mark.parametrize("case", ["file", "below-file", "entry-is-dir"])
+def test_unusable_cache_dir_exits_2_before_computing(tmp_path, capsys, monkeypatch, via, case):
     taken = tmp_path / "taken"
-    taken.write_text("")
-    cache = str(taken / "x" if below else taken)
+    if case == "entry-is-dir":
+        (taken / "A_n2_m3.json").mkdir(parents=True)
+    else:
+        taken.write_text("")
+    cache = str(taken / "x" if case == "below-file" else taken)
     argv = ["matrix", "--kind", "A", "-n", "2", "-m", "3"]
     if via == "flag":
         argv += ["--cache-dir", cache]

@@ -2,15 +2,8 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
 
 from fockcanon import partitions as pt, wedge
-
-
-partitions_strategy = st.builds(
-    lambda xs: tuple(sorted(xs, reverse=True)),
-    st.lists(st.integers(1, 8), max_size=7),
-)
 
 
 # -- conjugation and orders ----------------------------------------------------
@@ -20,11 +13,6 @@ def test_conjugate_examples():
     assert pt.conjugate((2, 1, 1)) == (3, 1)
     assert pt.conjugate(()) == ()
     assert pt.conjugate((2, 2)) == (2, 2)
-
-
-@given(partitions_strategy)
-def test_conjugate_involution(p):
-    assert pt.conjugate(pt.conjugate(p)) == p
 
 
 def test_dominance_examples():
@@ -289,11 +277,32 @@ def _horizontal_strips_below(q, total):
     yield from rec(0, total, [])
 
 
+def _crossings(intervals_by_runner, n):
+    """Total bead crossings of a strip move set, by a static interval rule.
+
+    Each interval is the (initial, final) abacus position of one bead.  A
+    moving bead crosses every position strictly inside its travel interval,
+    on another runner, that lies inside some bead's closed travel interval.
+    """
+
+    def covered(x):
+        return any(a <= x <= b for a, b in intervals_by_runner[x % n])
+
+    return sum(
+        1
+        for runner in intervals_by_runner
+        for a, b in runner
+        for x in range(a + 1, b)
+        if (x - a) % n and covered(x)
+    )
+
+
 def _strips_via_quotients(p, n, k, above):
     """(source, target, height) of every horizontal n-ribbon strip of weight
     k at p, the quotient way: each n-quotient component grows (above) or
     shrinks (below) by an ordinary horizontal strip, the sizes a composition
-    of k, and the new quotients go back to bead rows for the crossing count."""
+    of k, and the new quotients go back to bead rows for the crossing count
+    (every bead gets an interval, a standing one a point)."""
     rows = pt._runner_rows(p, n, pt._norm_slots(p, n, extra=k))
     counts = [len(r) for r in rows]
     quots = [pt._rows_to_quotient(r) for r in rows]
@@ -321,7 +330,7 @@ def _strips_via_quotients(p, n, k, above):
                 beta.extend(r + n * row for row in new_rows)
             other = pt.partition_from_beta(beta)
             source, target = (p, other) if above else (other, p)
-            out.append((source, target, pt._crossings(intervals, n)))
+            out.append((source, target, _crossings(intervals, n)))
     return out
 
 
@@ -399,17 +408,46 @@ def test_strips_below_mirror_above():
                 assert ups == downs, (n, k, m)
 
 
-def test_strip_ribbon_cells_consistent():
-    for n in (2, 3):
-        for m in range(6):
+def _strip_replay(source, target, n):
+    """(origin, passed, slots, beads under the origin) for each runner step
+    of the strip target/source, replayed up from the beads of source."""
+    slots = pt._norm_slots(target, n)
+    lows, highs = pt._runner_rows(source, n, slots), pt._runner_rows(target, n, slots)
+    assert [len(r) for r in lows] == [len(r) for r in highs]
+    dests = [
+        r + n * s
+        for r in range(n)
+        for lo, hi in zip(lows[r], highs[r])
+        for s in range(lo + 1, hi + 1)
+    ]
+    beads = set(pt.beta_set(source, slots))
+    return [
+        (o, passed, slots, sum(b < o for b in beads))
+        for o, passed in pt._replay(beads, dests, n)
+    ]
+
+
+def test_replay_passes_height_beads_and_tiles_the_strip():
+    """Each strip takes k runner steps whose passed beads sum to its height;
+    for n = 2 the dominoes rebuilt from (top-left cell, passed = vertical)
+    tile the skew diagram exactly."""
+    for n in (2, 3, 4):
+        for m in range(8):
             for lam in pt.partitions_of(m):
-                for k in (1, 2):
+                for k in range(4):
                     for s in pt.ribbon_strips_above(lam, n, k):
-                        ribbons = pt.strip_ribbon_cells(lam, s.target, n)
-                        assert len(ribbons) == k
-                        assert sum(ht - 1 for _, ht in ribbons) == s.height
-                        cells = set().union(*(c for c, _ in ribbons)) if ribbons else set()
-                        assert cells == pt.diagram(s.target) - pt.diagram(lam)
+                        moves = _strip_replay(lam, s.target, n)
+                        assert len(moves) == k
+                        assert sum(passed for _, passed, _, _ in moves) == s.height
+                        if n != 2:
+                            continue
+                        cells = Counter()
+                        for o, passed, slots, below in moves:
+                            assert passed in (0, 1)
+                            r, c = slots - below - passed, o - below + 1
+                            cells.update([(r, c), (r + passed, c + 1 - passed)])
+                        assert set(cells) == pt.diagram(s.target) - pt.diagram(lam)
+                        assert max(cells.values(), default=1) == 1
 
 
 # -- dominoes ------------------------------------------------------------------
@@ -438,6 +476,30 @@ def test_two_sign_strip_ratio():
                 assert pt.two_sign(s.target) * pt.two_sign(lam) == (-1) ** s.height
 
 
+def _domino_tilings(cells):
+    """Vertical-domino count of every domino tiling of a set of cells."""
+    if not cells:
+        yield 0
+        return
+    r, c = min(cells)
+    for other, vertical in (((r, c + 1), 0), ((r + 1, c), 1)):
+        if other in cells:
+            for v in _domino_tilings(cells - {(r, c), other}):
+                yield v + vertical
+
+
+def test_two_sign_matches_tiling_oracle():
+    """Every tiling has the parity two_sign gives; it raises iff none exists."""
+    for m in range(11):
+        for lam in pt.partitions_of(m):
+            parities = {(-1) ** v for v in _domino_tilings(frozenset(pt.diagram(lam)))}
+            if parities:
+                assert parities == {pt.two_sign(lam)}, lam
+            else:
+                with pytest.raises(pt.NotTileableError):
+                    pt.two_sign(lam)
+
+
 def test_yamanouchi_examples():
     tabs = pt.yamanouchi_domino_tableaux((1, 1), (1,))
     assert len(tabs) == 1 and tabs[0].vertical == 1
@@ -460,3 +522,43 @@ def test_yamanouchi_filters():
 def test_yamanouchi_size_check():
     with pytest.raises(pt.SizeMismatchError):
         pt.yamanouchi_domino_tableaux((2, 1), (1,))
+
+
+def _tiling_from_top_left(shape, dominoes):
+    """The tiling of shape whose dominoes have the given top-left cells, read
+    in row-major order: the first uncovered cell is a top-left cell, and its
+    domino is horizontal unless the cell to its right is taken or is itself a
+    top-left cell.  Returns (label, cells) pairs."""
+    starts = dict((cell, label) for label, cell in dominoes)
+    free = pt.diagram(shape)
+    tiling = []
+    while free:
+        r, c = min(free)
+        assert (r, c) in starts, (shape, dominoes)
+        right = (r, c + 1)
+        other = right if right in free and right not in starts else (r + 1, c)
+        assert other in free, (shape, dominoes)
+        tiling.append((starts.pop((r, c)), {(r, c), other}))
+        free -= {(r, c), other}
+    assert not starts
+    return tiling
+
+
+def test_domino_tableaux_tile_their_shape():
+    """The top-left cells of every tableau rebuild a tiling of its shape
+    with `vertical` vertical dominoes, the labels <= i covering a partition."""
+    for m in range(0, 11, 2):
+        for shape in pt.partitions_of(m):
+            for weight in pt.partitions_of(m // 2):
+                for tab in pt.yamanouchi_domino_tableaux(shape, weight):
+                    tiling = _tiling_from_top_left(shape, tab.dominoes)
+                    assert Counter(label for label, _ in tiling) == Counter(
+                        {i + 1: w for i, w in enumerate(weight)}
+                    )
+                    vertical = sum(1 for _, cells in tiling if len({r for r, _ in cells}) == 2)
+                    assert vertical == tab.vertical
+                    for i in range(1, len(weight) + 1):
+                        covered = set().union(*(cells for label, cells in tiling if label <= i))
+                        rows = Counter(r for r, _ in covered)
+                        lam = tuple(rows[r] for r in sorted(rows))
+                        assert covered == pt.diagram(lam), (shape, weight, i)
