@@ -107,11 +107,7 @@ def straighten_terms(items, n: int) -> dict:
             continue
         j = _first_ascent(w)
         if j < 0:
-            acc = out.get(w)
-            if acc is None:
-                out[w] = poly
-            else:
-                _merge(acc, poly)
+            out[w] = poly  # nothing pushes w again: every push raises the key
             continue
         a, b = w[j], w[j + 1]
         if a == b:
@@ -141,4 +137,4 @@ def straighten_terms(items, n: int) -> dict:
                     term.pop(e + e0, None)
             if term:
                 push(w2, sumsq - 2 * s * (b - a - s), term)
-    return {w: p for w, p in out.items() if p}
+    return out

@@ -29,7 +29,6 @@ from .laurent import ONE, ZERO, LaurentPoly, add_product, antisym_split, collect
 from .partitions import (
     Partition,
     conjugate,
-    is_n_regular,
     n_core_quotient,
     partitions_of,
     revlex_order,
@@ -206,31 +205,26 @@ def check_duality(e: TransitionMatrix, c: TransitionMatrix) -> bool:
 
 
 def steinberg_decompose(p: Partition, n: int) -> tuple[Partition, Partition]:
-    """Write p = mu + n*alpha with mu' n-regular; unique via conjugate parts.
+    """Write p = mu + n*alpha with mu n-restricted (mu' n-regular).
 
-    Each part value of p' keeps its multiplicity mod n in mu'; the quotients
-    go to alpha' n-fold.  Raises NotApplicableError when p' is n-regular
-    (alpha would be empty).
+    Each row difference p_i - p_{i+1} (p_{l+1} = 0) splits into its residue
+    mod n, a row difference of mu, and its quotient, one of alpha.  Raises
+    NotApplicableError when alpha is empty, that is when p' is n-regular.
     """
-    pc = conjugate(p)
-    if is_n_regular(pc, n):
+    mu_rows: list[int] = []
+    alpha_rows: list[int] = []
+    mu_sum = alpha_sum = below = 0
+    for part in reversed(p):
+        quo, rem = divmod(part - below, n)
+        mu_sum, alpha_sum, below = mu_sum + rem, alpha_sum + quo, part
+        mu_rows.append(mu_sum)
+        alpha_rows.append(alpha_sum)
+    if not alpha_sum:
         raise NotApplicableError(f"conjugate of {p} is {n}-regular")
-    mult: dict[int, int] = {}
-    for part in pc:
-        mult[part] = mult.get(part, 0) + 1
-    mu_c: list[int] = []
-    alpha_c: list[int] = []
-    for value, m in sorted(mult.items(), reverse=True):
-        mu_c.extend([value] * (m % n))
-        alpha_c.extend([value] * (m // n))
-    mu = conjugate(tuple(sorted(mu_c, reverse=True)))
-    alpha = conjugate(tuple(sorted(alpha_c, reverse=True)))
-    rebuilt = tuple(
-        (mu[i] if i < len(mu) else 0) + n * (alpha[i] if i < len(alpha) else 0)
-        for i in range(max(len(mu), len(alpha)))
+    return (
+        tuple(x for x in reversed(mu_rows) if x),
+        tuple(x for x in reversed(alpha_rows) if x),
     )
-    assert rebuilt == p, (p, mu, alpha)
-    return mu, alpha
 
 
 def steinberg_g_minus(p: Partition, n: int) -> FockVector:

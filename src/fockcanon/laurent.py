@@ -4,19 +4,19 @@ Coefficients are arbitrary-precision Python integers: everything lives in
 Z[q, 1/q].  Formulas with rational weights, such as the exponential formula
 for the ribbon operators, are scaled to integer weights and divided back with
 ``divide_exact``.  Values are immutable and always kept in canonical form: a
-dense coefficient window between the lowest and highest nonzero exponent, the
-zero polynomial having an empty window.
+tuple of their nonzero terms as (exponent, coefficient) pairs, lowest exponent
+first, the zero polynomial having no terms.  The dense coefficient window
+between the lowest and highest exponent exists only in the JSON form.
 
 Sums of products, such as the entries of a triangular solve or the
 coefficients of an operator applied to a vector, are not built as a chain of
 immutable values: ``add_product`` adds a*b in place into a sparse
 {exponent: int} dict, and ``collect`` turns a whole table of such dicts into
-LaurentPoly values once, when the sums are read.
+LaurentPoly values once, when the sums are read.  The product of two values
+is one such sum.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 
 class NotAntisymmetricError(ValueError):
@@ -27,54 +27,15 @@ class NonIntegralResultError(ValueError):
     """An exact division by an integer left a remainder (see divide_exact)."""
 
 
-def _trim(min_exp, coeffs):
-    lo, hi = 0, len(coeffs)
-    while hi > lo and not coeffs[hi - 1]:
-        hi -= 1
-    while lo < hi and not coeffs[lo]:
-        lo += 1
-    if lo == hi:
-        return 0, ()
-    return min_exp + lo, tuple(coeffs[lo:hi])
-
-
-def _add_windows(amin, acoeffs, bmin, bcoeffs):
-    if not acoeffs:
-        return bmin, bcoeffs
-    if not bcoeffs:
-        return amin, acoeffs
-    lo = min(amin, bmin)
-    hi = max(amin + len(acoeffs), bmin + len(bcoeffs))
-    out = [0] * (hi - lo)
-    for i, c in enumerate(acoeffs):
-        out[amin - lo + i] = c
-    for i, c in enumerate(bcoeffs):
-        out[bmin - lo + i] += c
-    return _trim(lo, out)
-
-
-def _mul_windows(amin, acoeffs, bmin, bcoeffs):
-    if not acoeffs or not bcoeffs:
-        return 0, ()
-    out = [0] * (len(acoeffs) + len(bcoeffs) - 1)
-    for i, a in enumerate(acoeffs):
-        if not a:
-            continue
-        for j, b in enumerate(bcoeffs):
-            if b:
-                out[i + j] += a * b
-    return _trim(amin + bmin, out)
-
-
 class LaurentPoly:
     """A Laurent polynomial over Z in one variable q."""
 
-    __slots__ = ("min", "coeffs")
+    __slots__ = ("_pairs",)
 
-    def __init__(self, min_exp: int = 0, coeffs=()):
-        m, c = _trim(min_exp, tuple(coeffs))
-        object.__setattr__(self, "min", m)
-        object.__setattr__(self, "coeffs", c)
+    def __init__(self, pairs: tuple = ()):
+        """Wrap pairs already in canonical form; build values with
+        ``monomial``, ``from_terms`` or arithmetic."""
+        object.__setattr__(self, "_pairs", pairs)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("LaurentPoly is immutable")
@@ -83,93 +44,84 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, coeff: int = 1, exp: int = 0) -> "LaurentPoly":
-        return cls(exp, (coeff,))
+        return cls(((exp, coeff),) if coeff else ())
 
     @classmethod
     def from_terms(cls, terms: dict) -> "LaurentPoly":
-        if not terms:
-            return cls()
-        lo = min(terms)
-        hi = max(terms)
-        window = [0] * (hi - lo + 1)
-        for e, c in terms.items():
-            window[e - lo] = c
-        return cls(lo, window)
+        return cls(tuple([(e, c) for e, c in sorted(terms.items()) if c]))
 
     # -- inspection --------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[int, int]]:
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield self.min + i, c
-
-    @property
-    def max_exp(self) -> int:
-        return self.min + len(self.coeffs) - 1 if self.coeffs else 0
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """The nonzero (exponent, coefficient) pairs, lowest exponent first."""
+        return self._pairs
 
     def eval_one(self) -> int:
         """Exact evaluation at q = 1."""
-        return sum(self.coeffs)
+        return sum(c for _, c in self._pairs)
 
     def in_positive_ring(self) -> bool:
         """True iff the polynomial lies in qZ[q] (or is zero)."""
-        return not self.coeffs or self.min >= 1
+        return not self._pairs or self._pairs[0][0] >= 1
 
     def in_negative_ring(self) -> bool:
         """True iff the polynomial lies in q^-1 Z[q^-1] (or is zero)."""
-        return not self.coeffs or self.max_exp <= -1
+        return not self._pairs or self._pairs[-1][0] <= -1
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, LaurentPoly):
-            m, c = _add_windows(self.min, self.coeffs, other.min, other.coeffs)
-            return LaurentPoly(m, c)
         if isinstance(other, int):
-            return self + LaurentPoly.monomial(other)
-        return NotImplemented
+            other = LaurentPoly.monomial(other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
+        acc = dict(self._pairs)
+        for e, c in other._pairs:
+            acc[e] = acc.get(e, 0) + c
+        return LaurentPoly.from_terms(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.min, tuple(-c for c in self.coeffs))
+        return LaurentPoly(tuple([(e, -c) for e, c in self._pairs]))
 
     def __sub__(self, other):
         if isinstance(other, (LaurentPoly, int)):
-            return self + (-other if isinstance(other, LaurentPoly) else -other)
+            return self + -other
         return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            m, c = _mul_windows(self.min, self.coeffs, other.min, other.coeffs)
-            return LaurentPoly(m, c)
         if isinstance(other, int):
-            return LaurentPoly(self.min, tuple(c * other for c in self.coeffs))
-        return NotImplemented
+            other = LaurentPoly.monomial(other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
+        acc: dict[int, int] = {}
+        add_product(acc, self, other)
+        return LaurentPoly.from_terms(acc)
 
     __rmul__ = __mul__
 
     def bar(self) -> "LaurentPoly":
         """Substitute q -> 1/q."""
-        return LaurentPoly(-(self.min + len(self.coeffs) - 1), self.coeffs[::-1])
+        return LaurentPoly(tuple([(-e, c) for e, c in reversed(self._pairs)]))
 
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
-            return self.min == other.min and self.coeffs == other.coeffs
+            return self._pairs == other._pairs
         if isinstance(other, int):
             return self == LaurentPoly.monomial(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.min, self.coeffs))
+        return hash(self._pairs)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._pairs)
 
     # -- rendering ---------------------------------------------------------
 
@@ -188,10 +140,10 @@ class LaurentPoly:
         return self._render("q^{{{e}}}")
 
     def _render(self, exp_fmt: str) -> str:
-        if not self.coeffs:
+        if not self._pairs:
             return "0"
         pieces = []
-        for e, c in sorted(self.terms(), key=lambda t: -t[0]):
+        for e, c in reversed(self._pairs):
             sign = "-" if c < 0 else "+"
             a = abs(c)
             if e == 0:
@@ -209,22 +161,35 @@ class LaurentPoly:
     # -- JSON --------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"min": self.min, "c": [str(c) for c in self.coeffs]}
+        """The dense window from the lowest to the highest exponent."""
+        if not self._pairs:
+            return {"min": 0, "c": []}
+        lo = self._pairs[0][0]
+        window = ["0"] * (self._pairs[-1][0] - lo + 1)
+        for e, c in self._pairs:
+            window[e - lo] = str(c)
+        return {"min": lo, "c": window}
 
     @classmethod
     def from_json(cls, doc: dict) -> "LaurentPoly":
-        """Inverse of to_json: an int "min" and decimal-string coefficients."""
+        """Inverse of to_json: an int "min" and decimal-string coefficients.
+
+        Zero coefficients are dropped, so a zero-padded window reads as the
+        trimmed value.
+        """
         if type(doc) is not dict:
             raise ValueError(f"not a polynomial document: {doc!r}")
         min_exp, coeffs = doc["min"], doc["c"]
         if type(min_exp) is not int or type(coeffs) is not list:
             raise ValueError(f"not a polynomial document: {doc!r}")
-        out = []
-        for c in coeffs:
+        pairs = []
+        for e, c in enumerate(coeffs, min_exp):
             if type(c) is not str:
                 raise ValueError(f"coefficient {c!r} is not a decimal string")
-            out.append(int(c))
-        return cls(min_exp, out)
+            value = int(c)
+            if value:
+                pairs.append((e, value))
+        return cls(tuple(pairs))
 
 
 def add_product(acc: dict[int, int], a: LaurentPoly, b: LaurentPoly) -> None:
@@ -232,12 +197,10 @@ def add_product(acc: dict[int, int], a: LaurentPoly, b: LaurentPoly) -> None:
 
     Coefficients that cancel stay in acc as zeros; ``collect`` drops them.
     """
-    bmin, bcoeffs = b.min, b.coeffs
-    for i, x in enumerate(a.coeffs, a.min + bmin):
-        if x:
-            for e, y in enumerate(bcoeffs, i):
-                if y:
-                    acc[e] = acc.get(e, 0) + x * y
+    bpairs = b._pairs
+    for i, x in a._pairs:
+        for j, y in bpairs:
+            acc[i + j] = acc.get(i + j, 0) + x * y
 
 
 def collect(sums: dict) -> dict:
@@ -257,11 +220,9 @@ ONE = LaurentPoly.monomial(1)
 
 def q_int(n: int) -> LaurentPoly:
     """The symmetric quantum integer [n] = (q^n - q^-n)/(q - q^-1)."""
-    if n == 0:
-        return ZERO
     if n < 0:
         return -q_int(-n)
-    return LaurentPoly(-(n - 1), (1, 0) * (n - 1) + (1,))
+    return LaurentPoly(tuple([(e, 1) for e in range(1 - n, n, 2)]))
 
 
 def divide_exact(p: LaurentPoly, d: int) -> LaurentPoly:
@@ -270,13 +231,13 @@ def divide_exact(p: LaurentPoly, d: int) -> LaurentPoly:
     Raises NonIntegralResultError when a coefficient of p is not a multiple
     of d, which signals a wrong integer weight upstream.
     """
-    out = []
-    for c in p.coeffs:
+    pairs = []
+    for e, c in p._pairs:
         quo, rem = divmod(c, d)
         if rem:
             raise NonIntegralResultError(f"{p} is not divisible by {d}")
-        out.append(quo)
-    return LaurentPoly(p.min, out)
+        pairs.append((e, quo))
+    return LaurentPoly(tuple(pairs))
 
 
 def antisym_split(p: LaurentPoly) -> dict[int, int]:
@@ -287,5 +248,4 @@ def antisym_split(p: LaurentPoly) -> dict[int, int]:
     """
     if p.bar() != -p:
         raise NotAntisymmetricError(f"not antisymmetric under q -> 1/q: {p}")
-    return {e: c for e, c in p.terms() if e > 0}
-
+    return {e: c for e, c in p._pairs if e > 0}

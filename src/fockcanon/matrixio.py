@@ -64,7 +64,7 @@ def matrix_from_doc(doc: dict) -> TransitionMatrix:
     for ri, ci, poly in doc["entries"]:
         value = LaurentPoly.from_json(poly)
         key = (ri, ci)
-        if key <= last or ci < 0 or not value.coeffs:
+        if key <= last or ci < 0 or not value:
             raise SchemaMismatchError(f"entry {list(key)} is zero or out of order")
         last = key
         row, col = order[ri], order[ci]

@@ -148,10 +148,9 @@ def reference_upper_matrix(m: int) -> canonical.TransitionMatrix:
 
 
 def run_tables(n: int = 2, max_m: int = 6) -> Report:
-    rep = Report("tables")
     if n != 2:
-        rep.add("applicability", False, "reference tables exist only for n=2")
-        return rep
+        raise ValueError(f"suite tables: reference tables exist only for n=2, not n={n}")
+    rep = Report("tables")
     for m in (2, 3, 4):
         if m > max_m:
             continue
@@ -423,10 +422,9 @@ def run_steinberg(n: int, max_m: int) -> Report:
 
 
 def run_domino(n: int, max_m: int) -> Report:
-    rep = Report("domino")
     if n != 2:
-        rep.add("applicability", False, "the domino theorem is n=2 only")
-        return rep
+        raise ValueError(f"suite domino: the domino theorem is for n=2 only, not n={n}")
+    rep = Report("domino")
     for m in range(2, max_m + 1, 2):
         r = domino_theorem_check(m)
         rep.add(f"spin sums match rows, m={m}", r.ok, f"{r.checked} pairs")

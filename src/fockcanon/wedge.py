@@ -17,6 +17,8 @@ as (2,2) for n=2 or (3,3,3,1) for n=3, are straightened by word reversal.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import _straighten_py as _kernel
 from .laurent import ONE, LaurentPoly, add_product, collect
 from .partitions import (
@@ -143,7 +145,8 @@ def _bar_by_straightening(
 
     Reverses the first k head entries (k >= |p|, default max(|p|, 1)) and
     multiplies by (-1)^C(k,2) q^a where a counts the pairs r < s <= k with
-    i_r - i_s not divisible by n; the result is independent of k.
+    i_r - i_s not divisible by n, that is C(k,2) less the pairs within one
+    residue class; the result is independent of k.
     """
     m = sum(p)
     if k is None:
@@ -151,11 +154,8 @@ def _bar_by_straightening(
     if k < max(m, 1):
         raise ValueError(f"need k >= max(|p|, 1) = {max(m, 1)}")
     word = partition_to_word(p, k)
-    alpha = 0
-    for r in range(k):
-        for s in range(r + 1, k):
-            if (word[r] - word[s]) % n:
-                alpha += 1
+    same_residue = Counter(v % n for v in word).values()
+    alpha = k * (k - 1) // 2 - sum(c * (c - 1) // 2 for c in same_residue)
     sign = -1 if (k * (k - 1) // 2) % 2 else 1
     pref = LaurentPoly.monomial(sign, alpha)
     return {

@@ -1,3 +1,5 @@
+from itertools import zip_longest
+
 import pytest
 
 from fockcanon import fock, verify, wedge
@@ -311,6 +313,35 @@ def test_steinberg_applies_to_31():
 def test_steinberg_not_applicable():
     with pytest.raises(NotApplicableError):
         steinberg_g_minus((2, 1), 2)  # (2,1)' = (2,1) is 2-regular
+
+
+def _steinberg_by_conjugates(p, n):
+    """Oracle: each part value of p' keeps its multiplicity mod n in mu', and
+    the quotients go to alpha' n-fold."""
+    pc = conjugate(p)
+    if is_n_regular(pc, n):
+        raise NotApplicableError(f"conjugate of {p} is {n}-regular")
+    mu_c, alpha_c = [], []
+    for value in sorted(set(pc), reverse=True):
+        mu_c += [value] * (pc.count(value) % n)
+        alpha_c += [value] * (pc.count(value) // n)
+    return conjugate(tuple(mu_c)), conjugate(tuple(alpha_c))
+
+
+def test_steinberg_decompose_matches_conjugate_oracle():
+    for n in (2, 3, 4):
+        for m in range(13):
+            for lam in partitions_of(m):
+                try:
+                    expected = _steinberg_by_conjugates(lam, n)
+                except NotApplicableError:
+                    with pytest.raises(NotApplicableError):
+                        steinberg_decompose(lam, n)
+                    continue
+                mu, alpha = steinberg_decompose(lam, n)
+                assert (mu, alpha) == expected, (n, lam)
+                rows = zip_longest(mu, alpha, fillvalue=0)
+                assert tuple(a + n * b for a, b in rows) == lam
 
 
 def test_steinberg_sweep():

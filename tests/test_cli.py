@@ -249,8 +249,11 @@ def test_verify_exit_codes(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "tables", "-n", "2", "--max-m", "4")
     assert code == 0
     assert "[PASS] tables" in out
-    code, out = run_cli(capsys, "verify", "--suite", "domino", "-n", "3", "--max-m", "4")
-    assert code == 1  # the domino theorem is n=2 only: reported as failure
+    for suite in ("tables", "domino"):  # n=2 only: rejected before computing
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", suite, "-n", "3", "--max-m", "4"])
+        assert exc.value.code == 2
+        assert f"suite {suite}" in capsys.readouterr().err
     for suite in ("tables", "domino"):  # no degree up to 1 has a check
         code, out = run_cli(capsys, "verify", "--suite", suite, "-n", "2", "--max-m", "1")
         assert code == 1
@@ -305,6 +308,10 @@ def _edit_entries(text, edit):
     return json.dumps(doc)
 
 
+def _insert_entry(entry):
+    return lambda entries: sorted(entries + [entry], key=lambda e: e[:2])
+
+
 def _set_entry(index, poly):
     def edit(entries):
         return [e[:2] + [poly] if e[:2] == index else e for e in entries]
@@ -317,18 +324,18 @@ def _set_entry(index, poly):
         (4, lambda text: text[: len(text) // 2]),
         (4, lambda text: "[]"),
         (4, lambda text: "\udcff"),
-        (4, lambda text: _edit_entries(text, lambda e: e + [[0, 1, {"min": 0, "c": []}]])),
+        # an entry in order whose only fault is being zero, with and without a window
+        (4, lambda text: _edit_entries(text, _insert_entry([0, 1, {"min": 0, "c": []}]))),
+        (4, lambda text: _edit_entries(text, _insert_entry([0, 1, {"min": -1, "c": ["0", "0"]}]))),
         (4, lambda text: _edit_entries(text, lambda e: e + [[1, 0, {"min": 2, "c": ["5"]}]])),
         (4, lambda text: _edit_entries(text, lambda e: [[-1, 0, {"min": 0, "c": ["1"]}]] + e)),
         # d[(3,1),(4)] = q read as q^-1
         (4, lambda text: _edit_entries(text, _set_entry([1, 0], {"min": -1, "c": ["1"]}))),
         (4, lambda text: _edit_entries(text, _set_entry([0, 0], {"min": 0, "c": ["2"]}))),
         # (3,2) and (4,1) have the 2-cores (1) and (2,1)
-        (5, lambda text: _edit_entries(
-            text, lambda e: sorted(e + [[2, 1, {"min": 1, "c": ["1"]}]], key=lambda x: x[:2])
-        )),
+        (5, lambda text: _edit_entries(text, _insert_entry([2, 1, {"min": 1, "c": ["1"]}]))),
     ],
-    ids=["truncated", "not-a-document", "not-utf8", "zero-poly", "repeated-pair",
+    ids=["truncated", "not-a-document", "not-utf8", "zero-poly", "zero-window", "repeated-pair",
          "negative-index", "ring", "diagonal", "cross-block"],
 )
 def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, m, damage):

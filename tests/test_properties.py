@@ -13,6 +13,7 @@ pytest.importorskip(
 from hypothesis import example, given, strategies as st
 
 from fockcanon import partitions as pt
+from test_laurent import POINTS, evaluate
 from fockcanon.laurent import (
     ONE,
     ZERO,
@@ -81,7 +82,8 @@ def test_json_round_trip(p):
 )
 @example([(0, P({1: 1, -1: -1}), P({0: 2, 2: 1}), True), (1, P({1: 1}), ONE, False)])
 def test_add_product_matches_laurent_fold(draws):
-    """The in-place accumulator against the immutable fold a*b + ...; each
+    """The in-place accumulator against the immutable fold a*b + ... and
+    against exact evaluation, which shares no code with the product; each
     product drawn with the flag set is also added negated, so keys whose
     products all carry it cancel to zero and must be absent."""
     products = []
@@ -90,10 +92,16 @@ def test_add_product_matches_laurent_fold(draws):
         if cancel:
             products.append((key, -a, b))
     sums, expected = {}, {}
+    values = {q: {} for q in POINTS}
     for key, a, b in products:
         add_product(sums.setdefault(key, {}), a, b)
         expected[key] = expected.get(key, ZERO) + a * b
-    assert collect(sums) == {k: v for k, v in expected.items() if v}
+        for q, at_q in values.items():
+            at_q[key] = at_q.get(key, 0) + evaluate(a, q) * evaluate(b, q)
+    collected = collect(sums)
+    assert collected == {k: v for k, v in expected.items() if v}
+    for q, at_q in values.items():
+        assert {k: evaluate(collected.get(k, ZERO), q) for k in at_q} == at_q
 
 
 @given(small_polys, st.integers(1, 30))
