@@ -107,11 +107,14 @@ def _cmd_matrix(args) -> int:
             mat = matrixio.cache_load(cache_dir, args.kind, args.n, args.m)
         except (matrixio.CacheMissError, matrixio.SchemaMismatchError):
             mat = None
-    if mat is None:
+    fresh = mat is None
+    if fresh:
         mat = compute_matrix(args.kind, args.n, args.m)
-        if not args.no_cache:
-            matrixio.cache_store(cache_dir, mat)
-    sys.stdout.write(matrixio.render(mat, args.format, block))
+    text = matrixio.render(mat, args.format, block)
+    if fresh and not args.no_cache:
+        # the json rendering is the cache document: serialize it once
+        matrixio.cache_store(cache_dir, mat, text if args.format == "json" else None)
+    sys.stdout.write(text)
     return 0
 
 

@@ -174,7 +174,9 @@ class LaurentPoly:
     def from_json(cls, doc: dict) -> "LaurentPoly":
         """Inverse of to_json: an int "min" and decimal-string coefficients.
 
-        Zero coefficients are dropped, so a zero-padded window reads as the
+        A coefficient must be written as to_json writes it (str of an int:
+        ASCII digits, a leading "-" only, no leading zeros, no "-0").  Zero
+        coefficients are dropped, so a zero-padded window reads as the
         trimmed value.
         """
         if type(doc) is not dict:
@@ -184,9 +186,8 @@ class LaurentPoly:
             raise ValueError(f"not a polynomial document: {doc!r}")
         pairs = []
         for e, c in enumerate(coeffs, min_exp):
-            if type(c) is not str:
+            if type(c) is not str or str(value := int(c)) != c:
                 raise ValueError(f"coefficient {c!r} is not a decimal string")
-            value = int(c)
             if value:
                 pairs.append((e, value))
         return cls(tuple(pairs))

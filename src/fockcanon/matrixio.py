@@ -99,11 +99,13 @@ def cache_path(directory: str, kind: str, n: int, m: int) -> str:
     return os.path.join(directory, f"{kind}_n{n}_m{m}.json")
 
 
-def cache_store(directory: str, mat: TransitionMatrix) -> str:
-    """Write the matrix document atomically (temp file + rename)."""
+def cache_store(directory: str, mat: TransitionMatrix, payload: str | None = None) -> str:
+    """Write the matrix document atomically (temp file + rename) and return
+    its path.  payload is matrix_to_json(mat) when the caller has it already."""
     os.makedirs(directory, exist_ok=True)
     path = cache_path(directory, mat.kind, mat.n, mat.m)
-    payload = matrix_to_json(mat)
+    if payload is None:
+        payload = matrix_to_json(mat)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

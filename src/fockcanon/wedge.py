@@ -3,7 +3,10 @@
 A word is the explicit head (i_1, ..., i_K) of the semi-infinite wedge
 u_{i_1} ^ u_{i_2} ^ ... with the implicit tail i_k = -k + 1 for k > K.  The
 basis vector attached to a partition has i_k = lambda_k - k + 1.  All
-straightening goes through the kernel in ``_straighten_py``.
+straightening goes through the kernel in ``_straighten_py``, memoized on the
+finite word up to a shift: the exchange rule reads only differences of
+entries.  ``straighten`` extends a head far enough that its tail can be left
+out; B_k straightens only the window of entries its moved entry passes.
 
 A WedgeVector is a plain dict mapping normally ordered words to LaurentPoly
 coefficients; bar images of basis vectors come out keyed by partitions so the
@@ -90,29 +93,36 @@ def clear_caches() -> None:
 
 
 def _straighten_minimal(w: Word, n: int) -> tuple:
-    """Straighten a single word; cached on the stripped head."""
-    key = (n, w)
+    """Straighten the finite word w as given, with no tail after it.
+
+    The exchange rule reads only differences of entries, so the expansion is
+    cached on w shifted to start at 0 and shifted back by w[0].
+    """
+    c = w[0] if w else 0
+    key = (n, tuple(v - c for v in w))
     hit = _straighten_cache.get(key)
-    if hit is not None:
+    if hit is None:
+        out = _kernel.straighten_terms([(key[1], {0: 1})], n)
+        hit = tuple((word, LaurentPoly.from_terms(poly)) for word, poly in out.items())
+        _straighten_cache[key] = hit
+    if not c:
         return hit
-    K = len(w)
-    if w:
-        K = max(K, 1 - min(w))
-    out = _kernel.straighten_terms([(extend_head(w, K), {0: 1})], n)
-    result = tuple(
-        (minimal_head(word), LaurentPoly.from_terms(poly))
-        for word, poly in out.items()
-    )
-    _straighten_cache[key] = result
-    return result
+    return tuple((tuple(v + c for v in word), poly) for word, poly in hit)
 
 
 def straighten(head, n: int) -> dict[Word, LaurentPoly]:
-    """Expand an arbitrary integer head in the normally ordered basis."""
-    out: dict[Word, LaurentPoly] = {}
-    for word, poly in _straighten_minimal(minimal_head(tuple(head)), n):
-        out[word] = poly
-    return out
+    """Expand an arbitrary integer head in the normally ordered basis.
+
+    The head is extended to length K = max(len, 1 - min): every tail entry
+    beyond K is then below every entry of the head and never moves, so the
+    finite straightening is the semi-infinite one.
+    """
+    w = minimal_head(tuple(head))
+    K = max(len(w), 1 - min(w)) if w else 0
+    return {
+        minimal_head(word): poly
+        for word, poly in _straighten_minimal(extend_head(w, K), n)
+    }
 
 
 def b_action_words(k: int, wv: dict, n: int) -> dict:
@@ -121,6 +131,12 @@ def b_action_words(k: int, wv: dict, n: int) -> dict:
     B_{-k} (k > 0) raises degree by adding kn to one head entry in all ways;
     B_k lowers it by subtracting kn.  Deep-tail modifications reduce to zero,
     so positions beyond (minimal head length + kn) never contribute.
+
+    The moved entry v of a normally ordered word only has to pass the entries
+    strictly between its old and new value: left of it for B_{-k}, right of
+    it for B_k.  Every exchange and correction word stays inside that window,
+    so only the window is straightened and each result is spliced between the
+    untouched parts; a result that puts v next to an equal entry is zero.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
@@ -130,11 +146,25 @@ def b_action_words(k: int, wv: dict, n: int) -> dict:
     for word, coeff in wv.items():
         base = minimal_head(word)
         span = len(base) + shift
+        # deep enough for B_k: w[j + shift] <= w[j] - shift for every j < span,
+        # so the scan to the right stops inside w
         w = extend_head(base, span + shift)
         for j in range(span):
-            moved = w[:j] + (w[j] + delta,) + w[j + 1 :]
-            for res, poly in _straighten_minimal(minimal_head(moved), n):
-                add_product(sums.setdefault(res, {}), coeff, poly)
+            v = w[j] + delta
+            lo, hi = j, j + 1
+            if delta > 0:
+                while lo and w[lo - 1] < v:
+                    lo -= 1
+            else:
+                while w[hi] > v:
+                    hi += 1
+            left, right = w[:lo], base[hi:]  # w[len(base):] is tail
+            window = w[lo:j] + (v,) + w[j + 1 : hi]
+            for res, poly in _straighten_minimal(window, n):
+                if (lo and w[lo - 1] == res[0]) or w[hi] == res[-1]:
+                    continue
+                key = minimal_head(left + res + right)
+                add_product(sums.setdefault(key, {}), coeff, poly)
     return collect(sums)
 
 
@@ -160,7 +190,7 @@ def _bar_by_straightening(
     pref = LaurentPoly.monomial(sign, alpha)
     return {
         word_to_partition(res): pref * poly
-        for res, poly in _straighten_minimal(minimal_head(word[::-1]), n)
+        for res, poly in straighten(word[::-1], n).items()
     }
 
 

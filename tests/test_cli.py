@@ -1,5 +1,6 @@
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -211,9 +212,15 @@ def _poly(min_exp, coeffs):
         ([{"partition": [2], "poly": _poly(0, ["1"])}, 3], "3)"),
         ([{"partition": [2], "poly": 3}], "document: 3"),
         ([{"partition": [2], "poly": None}], "document: None"),
+        ([{"partition": [2], "poly": _poly(0, [" 1_0"])}], "' 1_0'"),
+        ([{"partition": [2], "poly": _poly(0, ["\u0663"])}], "'\u0663'"),
+        ([{"partition": [2], "poly": _poly(0, ["+1"])}], "'+1'"),
+        ([{"partition": [2], "poly": _poly(0, ["01"])}], "'01'"),
+        ([{"partition": [2], "poly": _poly(0, ["-0"])}], "'-0'"),
     ],
     ids=["repeated-partition", "fractional-min", "numeric-coefficient", "bare-part",
-         "mixed-entries", "numeric-poly", "null-poly"],
+         "mixed-entries", "numeric-poly", "null-poly", "underscore-coefficient",
+         "non-ascii-digit", "plus-sign", "leading-zero", "negative-zero"],
 )
 def test_apply_bad_json_document_exits_2(capsys, doc, named):
     with pytest.raises(SystemExit) as exc:
@@ -295,9 +302,9 @@ def test_cache_load_rejects_corrupted_schema(tmp_path):
     mat = canonical_upper(2, 3)
     matrixio.cache_store(str(tmp_path), mat)
     path = matrixio.cache_path(str(tmp_path), "D", 2, 3)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["schema"] = "fock-canon/matrix/v0"
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     with pytest.raises(matrixio.SchemaMismatchError):
         matrixio.cache_load(str(tmp_path), "D", 2, 3)
 
@@ -334,9 +341,16 @@ def _set_entry(index, poly):
         (4, lambda text: _edit_entries(text, _set_entry([0, 0], {"min": 0, "c": ["2"]}))),
         # (3,2) and (4,1) have the 2-cores (1) and (2,1)
         (5, lambda text: _edit_entries(text, _insert_entry([2, 1, {"min": 1, "c": ["1"]}]))),
+        # d[(3,1),(4)] = q with a coefficient string that to_json never writes
+        (4, lambda text: _edit_entries(text, _set_entry([1, 0], {"min": 1, "c": [" 1_0"]}))),
+        (4, lambda text: _edit_entries(text, _set_entry([1, 0], {"min": 1, "c": ["\u0663"]}))),
+        (4, lambda text: _edit_entries(text, _set_entry([1, 0], {"min": 1, "c": ["+1"]}))),
+        (4, lambda text: _edit_entries(text, _set_entry([1, 0], {"min": 1, "c": ["01"]}))),
+        (4, lambda text: _edit_entries(text, _set_entry([1, 0], {"min": 1, "c": ["1", "-0"]}))),
     ],
     ids=["truncated", "not-a-document", "not-utf8", "zero-poly", "zero-window", "repeated-pair",
-         "negative-index", "ring", "diagonal", "cross-block"],
+         "negative-index", "ring", "diagonal", "cross-block", "underscore-coefficient",
+         "non-ascii-digit", "plus-sign", "leading-zero", "negative-zero"],
 )
 def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, m, damage):
     cache = str(tmp_path / "cache")

@@ -124,6 +124,12 @@ def test_json_rejects_non_integer_fields():
         {"min": 0, "c": [1.5]},
         {"min": 0, "c": [1]},
         {"min": 0, "c": "12"},
+        # int() reads these, but to_json never writes them
+        {"min": 0, "c": [" 1_0"]},
+        {"min": 0, "c": ["\u0663"]},
+        {"min": 0, "c": ["+1"]},
+        {"min": 0, "c": ["01"]},
+        {"min": 0, "c": ["1", "-0"]},
     ):
         with pytest.raises(ValueError):
             LaurentPoly.from_json(doc)

@@ -100,6 +100,56 @@ def test_b_action_deep_positions_vanish():
                 assert wedge.straighten(moved, n) == {}
 
 
+def _b_action_by_moved_words(k: int, wv: dict, n: int) -> dict:
+    """Oracle for b_action_words: straighten every moved word in full."""
+    shift = abs(k) * n
+    delta = shift if k < 0 else -shift
+    out: dict = {}
+    for word, coeff in wv.items():
+        base = wedge.minimal_head(word)
+        span = len(base) + shift
+        w = wedge.extend_head(base, span + shift)
+        for j in range(span):
+            moved = w[:j] + (w[j] + delta,) + w[j + 1 :]
+            for res, poly in wedge.straighten(moved, n).items():
+                _add(out, res, coeff * poly)
+    return out
+
+
+def test_b_action_windows_match_moved_words():
+    # partitions up to m = 7 move entries past equal ones (the zero rule)
+    # and past windows on either side of the moved entry
+    for n in (2, 3, 4):
+        for k in (1, -1, 2, -2, 3, -3):
+            for m in range(8):
+                for lam in partitions_of(m):
+                    wv = {wedge.minimal_head(wedge.partition_to_word(lam, len(lam))): Q(2, m)}
+                    assert wedge.b_action_words(k, wv, n) == _b_action_by_moved_words(
+                        k, wv, n
+                    ), (n, k, lam)
+
+
+def test_straighten_memo_is_up_to_a_shift(monkeypatch):
+    calls = []
+    real = _kernel.straighten_terms
+
+    def counted(terms, n):
+        calls.append(n)
+        return real(terms, n)
+
+    monkeypatch.setattr(_kernel, "straighten_terms", counted)
+    w = (0, 4, -1, 5, 2)
+    for c in (7, -3):
+        wedge.clear_caches()
+        base = wedge._straighten_minimal(w, 3)
+        moved = wedge._straighten_minimal(tuple(v + c for v in w), 3)
+        assert len(calls) == 1
+        calls.clear()
+        assert base
+        assert moved == tuple((tuple(v + c for v in res), poly) for res, poly in base)
+    wedge.clear_caches()
+
+
 def test_bar_basis_examples():
     assert wedge.bar_basis((2,), 2) == {
         (2,): P({0: 1}),
