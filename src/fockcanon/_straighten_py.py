@@ -2,7 +2,7 @@
 
 Words are tuples of distinct-or-repeated integers (the explicit head of a
 semi-infinite wedge); coefficients are sparse {exponent: int} dicts in q.
-``straighten_terms`` rewrites every word into the strictly decreasing normal
+``straighten_terms`` rewrites a word into the strictly decreasing normal
 form using the adjacent exchange rule:
 
   for l < m with d = (m - l) mod n,
@@ -30,10 +30,10 @@ contributions merged beforehand.
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 
-_EXPANSION_CACHE: dict[tuple[int, int, int], tuple] = {}
 
-
+@lru_cache(maxsize=None)
 def _expansion(d: int, gap: int, n: int):
     """Correction shifts and coefficients for an inverted pair with residue
     offset d = (m - l) mod n != 0 and gap m - l > 0.
@@ -41,10 +41,6 @@ def _expansion(d: int, gap: int, n: int):
     Returns a tuple of (s, c2, e2, c0, e0) meaning the word with the pair
     replaced by (m - s, l + s) enters with coefficient c2*q^e2 + c0*q^e0.
     """
-    key = (d, gap, n)
-    hit = _EXPANSION_CACHE.get(key)
-    if hit is not None:
-        return hit
     terms = []
     t = 0
     while True:
@@ -55,9 +51,7 @@ def _expansion(d: int, gap: int, n: int):
         # (q^-2 - 1)(-q^-1)^t = sign*q^(-t-2) - sign*q^(-t)
         terms.append((s, sign, -t - 2, -sign, -t))
         t += 1
-    result = tuple(terms)
-    _EXPANSION_CACHE[key] = result
-    return result
+    return tuple(terms)
 
 
 def _first_ascent(w) -> int:
@@ -76,8 +70,8 @@ def _merge(acc: dict, poly: dict) -> None:
             acc.pop(e, None)
 
 
-def straighten_terms(items, n: int) -> dict:
-    """Normal-order a batch of (word, coeff-dict) terms.
+def straighten_terms(word, n: int) -> dict:
+    """Normal-order one word.
 
     Returns {word: coeff-dict} over strictly decreasing words, zero
     coefficients dropped.
@@ -95,9 +89,7 @@ def straighten_terms(items, n: int) -> dict:
             if not acc:
                 del pending[w]
 
-    for w, poly in items:
-        if poly:
-            push(tuple(w), sum(v * v for v in w), poly)
+    push(tuple(word), sum(v * v for v in word), {0: 1})
 
     out: dict[tuple, dict] = {}
     while heap:

@@ -32,13 +32,21 @@ DEFAULT_CACHE_DIR = ".fock-cache"
 CACHE_ENV = "FOCK_CANON_CACHE"
 
 
+def _json_loads(text: str):
+    """json.loads, with text nested too deeply to decode a ValueError too."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("the JSON text is nested too deeply") from None
+
+
 def parse_partition(text: str):
     """Accept "[3,1,1]", "311" (single-digit parts) or "0"/"" for empty."""
     text = text.strip()
     if text in ("", "0", "[]"):
         return ()
     if text.startswith("["):
-        return check_partition(json.loads(text))
+        return check_partition(_json_loads(text))
     if not text.isdigit():
         raise ValueError(f"cannot parse partition {text!r}")
     return check_partition([int(ch) for ch in text])
@@ -48,7 +56,7 @@ def parse_vector(text: str) -> FockVector:
     """A partition (see parse_partition) or a JSON FockVector document."""
     stripped = text.strip()
     if stripped.startswith("["):
-        doc = json.loads(stripped)
+        doc = _json_loads(stripped)
         if doc and all(isinstance(entry, dict) for entry in doc):
             for entry in doc:
                 entry["partition"] = check_partition(entry["partition"])
@@ -111,10 +119,14 @@ def _cmd_matrix(args) -> int:
     if fresh:
         mat = compute_matrix(args.kind, args.n, args.m)
     text = matrixio.render(mat, args.format, block)
+    sys.stdout.write(text)
     if fresh and not args.no_cache:
         # the json rendering is the cache document: serialize it once
-        matrixio.cache_store(cache_dir, mat, text if args.format == "json" else None)
-    sys.stdout.write(text)
+        try:
+            matrixio.cache_store(cache_dir, mat, text if args.format == "json" else None)
+        except OSError as exc:
+            path = matrixio.cache_path(cache_dir, args.kind, args.n, args.m)
+            print(f"warning: cache entry {path} not stored: {exc.strerror or exc}", file=sys.stderr)
     return 0
 
 

@@ -134,7 +134,7 @@ def cache_load(directory: str, kind: str, n: int, m: int) -> TransitionMatrix:
         raise CacheMissError(f"no cache entry {path}") from None
     except OSError as exc:
         raise ValueError(f"cache entry {path} is unusable: {exc.strerror}") from None
-    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+    except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as exc:
         raise SchemaMismatchError(f"cache entry {path} cannot be decoded: {exc}") from exc
 
 

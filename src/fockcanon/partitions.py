@@ -12,20 +12,23 @@ minus removable i-nodes right of b) is the signed count of the i-nodes
 before b and N_i^l (left of b) that of the i-nodes after it.  f_i adds b
 with weight q^{N_i^r}, e_i removes it with q^{-N_i^l}.
 
-Horizontal n-ribbon strips are bead moves on the Littlewood abacus: mu/lam
-is a horizontal strip of weight k iff the beads of mu come from those of lam
-by moves up the runners, k steps in all, each bead stopping short of the old
-place of the next bead on its runner.  ``_replay`` makes those steps one at
-a time, in increasing order of destination; each adds an n-ribbon whose
-height (rows - 1) is the number of beads it passes.  So the height of a
-strip is the number of beads passed (cross-validated against the Heisenberg
-description of the same operators, see the fock module), a domino is
-vertical iff its step passes a bead, and the 2-sign of a partition is the
-parity of the beads passed on the way up from the empty partition.
+Horizontal n-ribbon strips are bead moves on the Littlewood abacus.  A strip
+of weight k is k steps, each moving a bead one place up its runner to a free
+place, taken in increasing order of destination; ``_strip_steps`` walks them
+(removal walks the same steps down, in decreasing order).  The order alone
+keeps the strip horizontal: a bead below another on its runner cannot pass
+that bead's old place before it moves, and cannot step at all after it.
+Each step adds an n-ribbon whose height (rows - 1) is the number of beads it
+passes, so the height of a strip is the number of beads passed
+(cross-validated against the Heisenberg description of the same operators,
+see the fock module), and a domino is vertical iff its step passes a bead.
+The 2-sign of a tileable partition is read off its parts instead: half the
+number of odd parts has the parity of the vertical-domino count.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -264,58 +267,61 @@ class RibbonStrip(NamedTuple):
     height: int  # sum of (ht(R) - 1) over the tiling
 
 
-def _compositions(total: int, caps: list[int]):
-    """Tuples of nonnegative integers summing to total, entry r <= caps[r]."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, caps[0]) + 1):
-        for rest in _compositions(total - first, caps[1:]):
-            yield (first,) + rest
+def _strip_steps(p: Partition, n: int, k: int, above: bool):
+    """Every horizontal n-ribbon strip of weight k growing out of p (above) or
+    inside p (below), as (other partition, bead count, steps): k steps, each
+    moving a bead one place up its runner to a free place, in increasing
+    order of destination (removal walks them down, in decreasing order).
+    A step is given as it goes up: (origin, beads passed, beads under the
+    origin before the step).
 
+    The walk is depth first, one list of candidate origins per step taken: a
+    step between u and u + n changes only those two places, so of the origins
+    past u it takes away none and adds at most u + n (above) or u - n (below).
+    """
+    if n < 2 or k < 0:
+        raise ValueError("need n >= 2 and k >= 0")
+    beads = beta_set(p, _norm_slots(p, n, extra=k))
+    filled = bytearray(beads[0] + n * k + 1)
+    for b in beads:
+        filled[b] = 1
+    sign = 1 if above else -1  # an origin u is listed as sign * u, in walk order
 
-def _replay(beads: set[int], dests, n: int) -> Iterator[tuple[int, int]]:
-    """Move beads up one runner step at a time, to each of dests in increasing
-    order, yielding before each move its origin and the number of beads it
-    passes (those strictly between origin and destination)."""
-    for d in sorted(dests):
-        o = d - n
-        yield o, sum(b in beads for b in range(o + 1, d))
-        beads.remove(o)
-        beads.add(d)
+    def free(u: int) -> bool:
+        """Whether a step between u and u + n can be walked now."""
+        return 0 <= u < len(filled) - n and filled[u] == above and filled[u + n] != above
+
+    bead_origins = (b if above else b - n for b in beads)  # each bead's step up, or down
+    levels = [sorted(sign * u for u in bead_origins if free(u))]
+    steps: list[tuple[int, int, int]] = []
+    while True:
+        origins = levels[-1]
+        if len(steps) < k and origins:
+            u = sign * origins[0]
+            steps.append((u, filled.count(1, u + 1, u + n), filled.count(1, 0, u)))
+            filled[u], filled[u + n] = filled[u + n], filled[u]
+            levels[-1] = origins[1:]
+            levels.append(origins[1:])
+            if free(u + sign * n):
+                insort(levels[-1], sign * u + n)
+            continue
+        if len(steps) == k:
+            other = partition_from_beta([b for b, f in enumerate(filled) if f])
+            yield other, len(beads), tuple(steps)
+        levels.pop()
+        if not steps:
+            return
+        u = steps.pop()[0]
+        filled[u], filled[u + n] = filled[u + n], filled[u]
 
 
 def _ribbon_strips(p: Partition, n: int, k: int, above: bool) -> list[RibbonStrip]:
     """All horizontal n-ribbon strips of weight k growing out of p (above) or
-    inside p (below): beads move k runner steps in all, up (above) or down
-    (below), each stopping short of the old place of the next bead on its
-    runner and never below position 0."""
-    if n < 2 or k < 0:
-        raise ValueError("need n >= 2 and k >= 0")
-    beads = beta_set(p, _norm_slots(p, n, extra=k))
-    occupied = set(beads)
-    step = n if above else -n
-    standing, movers, rooms = [], [], []
-    for b in beads:
-        room, dest = 0, b + step
-        while room < k and dest >= 0 and dest not in occupied:
-            room, dest = room + 1, dest + step
-        if room:
-            movers.append(b)
-            rooms.append(room)
-        else:
-            standing.append(b)
+    inside p (below); the height is the number of beads the steps pass."""
     strips = []
-    for comp in _compositions(k, rooms):
-        moved = [b + step * steps for b, steps in zip(movers, comp)]
-        # replay upward from the beads before the strip
-        lows, highs = (movers, moved) if above else (moved, movers)
-        dests = [d for lo, hi in zip(lows, highs) for d in range(lo + n, hi + 1, n)]
-        height = sum(passed for _, passed in _replay(set(standing + lows), dests, n))
-        other = partition_from_beta(standing + moved)
+    for other, _, steps in _strip_steps(p, n, k, above):
         source, target = (p, other) if above else (other, p)
-        strips.append(RibbonStrip(source, target, n, k, height))
+        strips.append(RibbonStrip(source, target, n, k, sum(s[1] for s in steps)))
     return strips
 
 
@@ -333,16 +339,13 @@ def ribbon_strips_below(p: Partition, n: int, k: int) -> list[RibbonStrip]:
 
 
 def two_sign(p: Partition) -> int:
-    """(-1)^v for v the vertical-domino count of any tiling of p."""
-    slots = _norm_slots(p, 2)
-    rows = _runner_rows(p, 2, slots)
-    if len(rows[0]) != len(rows[1]):
+    """(-1)^v for v the vertical-domino count of any tiling of p: a horizontal
+    domino covers an odd and an even column, a vertical one two cells of one
+    column, so v has the parity of half the excess of odd-column cells, and
+    that excess is the number of odd parts."""
+    if n_core_quotient(p, 2)[0]:
         raise NotTileableError(f"{p} has a nonempty 2-core")
-    beads, v = set(range(slots)), 0
-    for j in reversed(range(slots // 2)):  # top beads first: no step lands on a bead yet to move
-        dests = [r + 2 * s for r in (0, 1) for s in range(j + 1, rows[r][j] + 1)]
-        v += sum(passed for _, passed in _replay(beads, dests, 2))
-    return -1 if v % 2 else 1
+    return -1 if sum(x % 2 for x in p) // 2 % 2 else 1
 
 
 class DominoTableau(NamedTuple):
@@ -370,10 +373,10 @@ def yamanouchi_domino_tableaux(shape: Partition, weight: Partition) -> list[Domi
 
     A semistandard domino tableau is a chain of horizontal 2-ribbon strips,
     one per label, removed here from the shape down, the last label first.
-    Replaying a strip from its source, the step from bead o with `below`
-    beads under it adds the domino with top-left cell
-    (slots - below - passed, o - below + 1).  The vertical-domino count is
-    the sum of strip heights.
+    A step up from o that passes `passed` beads, with `below` of the `beads`
+    beads under o, adds the domino with top-left cell
+    (beads - below - passed, o - below + 1).  The vertical-domino count is
+    the number of beads passed.
     """
     if sum(shape) != 2 * sum(weight):
         raise SizeMismatchError(f"|{shape}| != 2|{weight}|")
@@ -384,22 +387,11 @@ def yamanouchi_domino_tableaux(shape: Partition, weight: Partition) -> list[Domi
             if _is_yamanouchi(dominoes):
                 out.append(DominoTableau(shape, weight, dominoes, vertical))
             return
-        slots = _norm_slots(current, 2)
-        highs = _runner_rows(current, 2, slots)
-        for strip in ribbon_strips_below(current, 2, weight[label - 1]):
-            lows = _runner_rows(strip.source, 2, slots)
-            dests = [
-                r + 2 * s
-                for r in (0, 1)
-                for lo, hi in zip(lows[r], highs[r])
-                for s in range(lo + 1, hi + 1)
-            ]
-            beads = set(beta_set(strip.source, slots))
-            cells = []
-            for o, passed in _replay(beads, dests, 2):
-                below = sum(b < o for b in beads)
-                cells.append((label, (slots - below - passed, o - below + 1)))
-            rec(strip.source, label - 1, tuple(cells) + dominoes, vertical + strip.height)
+        for source, beads, steps in _strip_steps(current, 2, weight[label - 1], above=False):
+            cells = tuple(
+                (label, (beads - below - passed, o - below + 1)) for o, passed, below in steps
+            )
+            rec(source, label - 1, cells + dominoes, vertical + sum(s[1] for s in steps))
 
     rec(shape, len(weight), (), 0)
     return out

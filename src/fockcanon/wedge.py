@@ -102,7 +102,7 @@ def _straighten_minimal(w: Word, n: int) -> tuple:
     key = (n, tuple(v - c for v in w))
     hit = _straighten_cache.get(key)
     if hit is None:
-        out = _kernel.straighten_terms([(key[1], {0: 1})], n)
+        out = _kernel.straighten_terms(key[1], n)
         hit = tuple((word, LaurentPoly.from_terms(poly)) for word, poly in out.items())
         _straighten_cache[key] = hit
     if not c:

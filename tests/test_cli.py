@@ -11,6 +11,10 @@ from fockcanon.fock import FockVector
 from fockcanon.laurent import LaurentPoly
 
 
+# deeper than the JSON decoder can recurse
+DEEP = "[" * 5000
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -103,17 +107,19 @@ def test_matrix_block_filter(capsys):
     assert out.splitlines()[0] == ",3,111"
 
 
-@pytest.mark.parametrize("block", ["21", "11", "3", "abc"])
+@pytest.mark.parametrize(
+    "block", ["21", "11", "3", "abc", DEEP], ids=["21", "11", "3", "abc", "deep"]
+)
 def test_matrix_impossible_block_exits_2_before_computing(tmp_path, capsys, block):
     # for n=2, m=4: (2,1) is a 2-core but 4 - 3 is odd; (1,1) and (3) are not
-    # 2-cores; "abc" is not a partition
+    # 2-cores; "abc" and DEEP are not partitions
     cache = tmp_path / "cache"
     with pytest.raises(SystemExit) as exc:
         main(["matrix", "--kind", "D", "-n", "2", "-m", "4", "--block", block,
               "--cache-dir", str(cache)])
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "error:" in captured.err
+    assert captured.out == "" and "error:" in captured.err and "Traceback" not in captured.err
     assert not cache.exists() or not any(cache.iterdir())
 
 
@@ -232,9 +238,14 @@ def test_apply_bad_json_document_exits_2(capsys, doc, named):
 
 
 def test_apply_malformed_vector_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["apply", "f", "--i", "0", "-n", "2", "--vector", "[1,3]"])
-    assert exc.value.code == 2
+    for argv in (
+        ["f", "--i", "0", "-n", "2", "--vector", "[1,3]"],
+        ["bar", "-n", "2", "--vector", DEEP],
+        ["S", "-n", "2", "--vector", "1", "--alpha", DEEP],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["apply", *argv])
+        assert exc.value.code == 2
 
 
 def test_apply_missing_operator_argument_exits_2():
@@ -331,6 +342,7 @@ def _set_entry(index, poly):
         (4, lambda text: text[: len(text) // 2]),
         (4, lambda text: "[]"),
         (4, lambda text: "\udcff"),
+        (4, lambda text: DEEP),
         # an entry in order whose only fault is being zero, with and without a window
         (4, lambda text: _edit_entries(text, _insert_entry([0, 1, {"min": 0, "c": []}]))),
         (4, lambda text: _edit_entries(text, _insert_entry([0, 1, {"min": -1, "c": ["0", "0"]}]))),
@@ -348,9 +360,10 @@ def _set_entry(index, poly):
         (4, lambda text: _edit_entries(text, _set_entry([1, 0], {"min": 1, "c": ["01"]}))),
         (4, lambda text: _edit_entries(text, _set_entry([1, 0], {"min": 1, "c": ["1", "-0"]}))),
     ],
-    ids=["truncated", "not-a-document", "not-utf8", "zero-poly", "zero-window", "repeated-pair",
-         "negative-index", "ring", "diagonal", "cross-block", "underscore-coefficient",
-         "non-ascii-digit", "plus-sign", "leading-zero", "negative-zero"],
+    ids=["truncated", "not-a-document", "not-utf8", "deep", "zero-poly", "zero-window",
+         "repeated-pair", "negative-index", "ring", "diagonal", "cross-block",
+         "underscore-coefficient", "non-ascii-digit", "plus-sign", "leading-zero",
+         "negative-zero"],
 )
 def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, m, damage):
     cache = str(tmp_path / "cache")
@@ -362,6 +375,24 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, m, damage):
     code, again = run_cli(capsys, *argv)
     assert (code, again) == (0, first)
     assert path.read_text() == first
+
+
+def test_failed_cache_store_still_prints_the_matrix(tmp_path, capsys, monkeypatch):
+    argv = ["matrix", "--kind", "D", "-n", "2", "-m", "4", "--format", "json"]
+    code, want = run_cli(capsys, *argv, "--no-cache")
+    assert code == 0
+    cache = tmp_path / "cache"
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(matrixio.os, "replace", refuse)
+    assert main(argv + ["--cache-dir", str(cache)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == want
+    path = matrixio.cache_path(str(cache), "D", 2, 4)
+    assert captured.err.count("\n") == 1 and path in captured.err
+    assert list(cache.iterdir()) == []
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])

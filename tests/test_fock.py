@@ -196,7 +196,7 @@ def test_b_action_heisenberg_relation():
 
 
 def test_b_action_below_degree_kn_is_zero_without_straightening(monkeypatch):
-    def refuse(terms, n):
+    def refuse(word, n):
         raise AssertionError("a term of degree below kn was straightened")
 
     monkeypatch.setattr(fock.wedge._kernel, "straighten_terms", refuse)

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from itertools import product
 
@@ -408,46 +409,40 @@ def test_strips_below_mirror_above():
                 assert ups == downs, (n, k, m)
 
 
-def _strip_replay(source, target, n):
-    """(origin, passed, slots, beads under the origin) for each runner step
-    of the strip target/source, replayed up from the beads of source."""
-    slots = pt._norm_slots(target, n)
-    lows, highs = pt._runner_rows(source, n, slots), pt._runner_rows(target, n, slots)
-    assert [len(r) for r in lows] == [len(r) for r in highs]
-    dests = [
-        r + n * s
-        for r in range(n)
-        for lo, hi in zip(lows[r], highs[r])
-        for s in range(lo + 1, hi + 1)
-    ]
-    beads = set(pt.beta_set(source, slots))
-    return [
-        (o, passed, slots, sum(b < o for b in beads))
-        for o, passed in pt._replay(beads, dests, n)
-    ]
-
-
-def test_replay_passes_height_beads_and_tiles_the_strip():
-    """Each strip takes k runner steps whose passed beads sum to its height;
-    for n = 2 the dominoes rebuilt from (top-left cell, passed = vertical)
-    tile the skew diagram exactly."""
+@pytest.mark.parametrize("above", [True, False], ids=["above", "below"])
+def test_strip_steps_pass_height_beads_and_tile_the_strip(above):
+    """Each strip is k steps whose passed beads sum to its height, walked in
+    increasing (above) or decreasing (below) order of destination; for n = 2
+    the dominoes rebuilt from (top-left cell, passed = vertical) tile the
+    skew diagram target/source exactly."""
     for n in (2, 3, 4):
         for m in range(8):
             for lam in pt.partitions_of(m):
                 for k in range(4):
-                    for s in pt.ribbon_strips_above(lam, n, k):
-                        moves = _strip_replay(lam, s.target, n)
-                        assert len(moves) == k
-                        assert sum(passed for _, passed, _, _ in moves) == s.height
+                    walked = list(pt._strip_steps(lam, n, k, above))
+                    ends = [(lam, other) if above else (other, lam) for other, _, _ in walked]
+                    heights = [sum(passed for _, passed, _ in steps) for _, _, steps in walked]
+                    assert Counter((s, t, h) for (s, t), h in zip(ends, heights)) == Counter(
+                        _strips_via_quotients(lam, n, k, above)
+                    ), (lam, n, k)
+                    for (source, target), (_, beads, steps) in zip(ends, walked):
+                        assert len(steps) == k
+                        dests = [o + n for o, _, _ in steps]
+                        assert dests == sorted(dests, reverse=not above)
                         if n != 2:
                             continue
                         cells = Counter()
-                        for o, passed, slots, below in moves:
+                        for o, passed, below in steps:
                             assert passed in (0, 1)
-                            r, c = slots - below - passed, o - below + 1
+                            r, c = beads - below - passed, o - below + 1
                             cells.update([(r, c), (r + passed, c + 1 - passed)])
-                        assert set(cells) == pt.diagram(s.target) - pt.diagram(lam)
+                        assert set(cells) == pt.diagram(target) - pt.diagram(source)
                         assert max(cells.values(), default=1) == 1
+
+
+def test_strip_walk_is_not_bounded_by_the_recursion_limit():
+    k = sys.getrecursionlimit() + 1
+    assert pt.ribbon_strips_below((2 * k,), 2, k) == [pt.RibbonStrip((), (2 * k,), 2, k, 0)]
 
 
 # -- dominoes ------------------------------------------------------------------

@@ -133,9 +133,9 @@ def test_straighten_memo_is_up_to_a_shift(monkeypatch):
     calls = []
     real = _kernel.straighten_terms
 
-    def counted(terms, n):
+    def counted(word, n):
         calls.append(n)
-        return real(terms, n)
+        return real(word, n)
 
     monkeypatch.setattr(_kernel, "straighten_terms", counted)
     w = (0, 4, -1, 5, 2)
@@ -232,9 +232,9 @@ def test_clear_caches_makes_bar_images_cold(monkeypatch):
     calls = []
     real = wedge._kernel.straighten_terms
 
-    def counted(terms, n):
+    def counted(word, n):
         calls.append(n)
-        return real(terms, n)
+        return real(word, n)
 
     monkeypatch.setattr(wedge._kernel, "straighten_terms", counted)
     canonical.a_matrix(2, 6)
@@ -295,22 +295,6 @@ def test_kernel_matches_slow_oracle():
             for lam in partitions_of(m):
                 w = wedge.partition_to_word(lam, max(m, 1))[::-1]
                 assert wedge.straighten(w, n) == slow_straighten([(w, Q(1))], n), (n, lam)
-
-
-def test_kernel_batch_is_sum_of_singles():
-    n, m = 3, 6
-    words = [wedge.partition_to_word(lam, m)[::-1] for lam in partitions_of(m)]
-    coeffs = [{k: k + 3} for k in range(-2, len(words) - 2)]
-    batch = _kernel.straighten_terms(list(zip(words, coeffs)), n)
-    total: dict = {}
-    for w, poly in zip(words, coeffs):
-        for res, c in _kernel.straighten_terms([(w, poly)], n).items():
-            _add(total, res, P(c))
-    assert {res: P(c) for res, c in batch.items()} == total
-    assert total == {
-        wedge.extend_head(res, m): c
-        for res, c in slow_straighten([(w, P(c)) for w, c in zip(words, coeffs)], n).items()
-    }
 
 
 def test_backend_reports_a_kernel():
