@@ -26,19 +26,17 @@ from operator import neg
 from . import fock, wedge
 from .fock import FockVector
 from .laurent import ONE, ZERO, LaurentPoly, add_product, antisym_split, collect
-from .partitions import (
+from .partitions import (  # NotApplicableError: re-exported with steinberg_decompose
+    NotApplicableError,
     Partition,
     conjugate,
     n_core_quotient,
     partitions_of,
     revlex_order,
+    steinberg_decompose,
     two_sign,
     yamanouchi_domino_tableaux,
 )
-
-
-class NotApplicableError(ValueError):
-    """Steinberg factorization requested for a partition with n-regular conjugate."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,29 +200,6 @@ def check_duality(e: TransitionMatrix, c: TransitionMatrix) -> bool:
     return c.entries == {
         (conjugate(lam), conjugate(mu)): v.bar() for (lam, mu), v in e.entries.items()
     }
-
-
-def steinberg_decompose(p: Partition, n: int) -> tuple[Partition, Partition]:
-    """Write p = mu + n*alpha with mu n-restricted (mu' n-regular).
-
-    Each row difference p_i - p_{i+1} (p_{l+1} = 0) splits into its residue
-    mod n, a row difference of mu, and its quotient, one of alpha.  Raises
-    NotApplicableError when alpha is empty, that is when p' is n-regular.
-    """
-    mu_rows: list[int] = []
-    alpha_rows: list[int] = []
-    mu_sum = alpha_sum = below = 0
-    for part in reversed(p):
-        quo, rem = divmod(part - below, n)
-        mu_sum, alpha_sum, below = mu_sum + rem, alpha_sum + quo, part
-        mu_rows.append(mu_sum)
-        alpha_rows.append(alpha_sum)
-    if not alpha_sum:
-        raise NotApplicableError(f"conjugate of {p} is {n}-regular")
-    return (
-        tuple(x for x in reversed(mu_rows) if x),
-        tuple(x for x in reversed(alpha_rows) if x),
-    )
 
 
 def steinberg_g_minus(p: Partition, n: int) -> FockVector:

@@ -22,7 +22,6 @@ from .partitions import (
     partition_label,
     partitions_of,
     remove_node_variants,
-    revlex_index,
     ribbon_strips_above,
     ribbon_strips_below,
 )
@@ -84,10 +83,9 @@ class FockVector:
     def pretty(self) -> str:
         if not self.terms:
             return "0"
-        def order(p):
-            return (sum(p), revlex_index(sum(p))[p])
         pieces = []
-        for p in sorted(self.terms, key=order):
+        # by degree, then in revlex order: parts descending within a degree
+        for p in sorted(self.terms, key=lambda p: (-sum(p), p), reverse=True):
             ket = "|" + partition_label(p) + ">"
             c = self.terms[p]
             body, sign = _coeff_str(c)
@@ -179,29 +177,35 @@ def b_action(k: int, v: FockVector, n: int) -> FockVector:
     return FockVector({wedge.word_to_partition(w): c for w, c in out.items()})
 
 
-def _strip_action(strips, above: bool, k: int, v: FockVector, n: int) -> FockVector:
-    """sum over (p, c) in v and the strips of strips(p, n, k) of
+def _strip_sums(strips, above: bool, k: int, terms: dict, n: int) -> dict:
+    """{partition: {exponent: int}}: the sum over (p, c) in terms, c an
+    {exponent: int} dict, and the strips of strips(p, n, k) of
     c (-1)^h q^{-h} at the strip's target (above) or source (below)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     sums: dict = {}
-    for p, c in v.items():
-        for strip in strips(p, n, k):
-            key = strip.target if above else strip.source
-            sign = LaurentPoly.monomial(-1 if strip.height % 2 else 1, -strip.height)
-            add_product(sums.setdefault(key, {}), c, sign)
-    return FockVector(collect(sums))
+    for p, c in terms.items():
+        for source, target, _, _, h in strips(p, n, k):
+            acc = sums.setdefault(target if above else source, {})
+            sign = -1 if h % 2 else 1
+            for e, a in c.items():
+                acc[e - h] = acc.get(e - h, 0) + sign * a
+    return sums
+
+
+def _sparse(v: FockVector) -> dict:
+    return {p: dict(c.terms()) for p, c in v.items()}
 
 
 def v_op(k: int, v: FockVector, n: int) -> FockVector:
     """Ribbon analogue of multiplication by the degree-k complete function:
     V_k |lam> = sum (-1)^h q^{-h} |mu> over horizontal strips of weight k."""
-    return _strip_action(ribbon_strips_above, True, k, v, n)
+    return FockVector(collect(_strip_sums(ribbon_strips_above, True, k, _sparse(v), n)))
 
 
 def u_op(k: int, v: FockVector, n: int) -> FockVector:
     """Adjoint of v_op: strip removal with the same signed coefficients."""
-    return _strip_action(ribbon_strips_below, False, k, v, n)
+    return FockVector(collect(_strip_sums(ribbon_strips_below, False, k, _sparse(v), n)))
 
 
 def _chain_sum(chains, op, v: FockVector, n: int) -> FockVector:
@@ -252,11 +256,20 @@ def v_op_via_heisenberg(k: int, v: FockVector, n: int) -> FockVector:
 
 def s_alpha(alpha: Partition, v: FockVector, n: int) -> FockVector:
     """Ribbon analogue of multiplication by the Schur function s_alpha,
-    via the inverse Kostka expansion s_alpha = sum kappa_mu h_mu."""
-    chains = (
-        (reversed(mu), kappa) for mu, kappa in symfunc.schur_to_h(tuple(alpha)).items()
-    )
-    return _chain_sum(chains, v_op, v, n)
+    via the inverse Kostka expansion s_alpha = sum kappa_mu h_mu, applying
+    V_{mu_l} first.  Every link of a chain stays a sparse sum; the total is
+    collected once."""
+    start = _sparse(v)
+    sums: dict = {}
+    for mu, kappa in symfunc.schur_to_h(tuple(alpha)).items():
+        term = start
+        for part in reversed(mu):
+            term = _strip_sums(ribbon_strips_above, True, part, term, n)
+        for p, c in term.items():
+            acc = sums.setdefault(p, {})
+            for e, a in c.items():
+                acc[e] = acc.get(e, 0) + kappa * a
+    return FockVector(collect(sums))
 
 
 def s_alpha_via_characters(alpha: Partition, v: FockVector, n: int) -> FockVector:

@@ -24,6 +24,10 @@ passes, so the height of a strip is the number of beads passed
 see the fock module), and a domino is vertical iff its step passes a bead.
 The 2-sign of a tileable partition is read off its parts instead: half the
 number of odd parts has the parity of the vertical-domino count.
+
+``steinberg_decompose`` writes a partition with n-singular conjugate as
+mu + n*alpha, mu n-restricted: the split behind the Steinberg factorization
+of the lower basis and behind the S-step of the bar images (see wedge).
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ class SizeMismatchError(ValueError):
 
 class NotTileableError(ValueError):
     """The shape admits no domino tiling (nonempty 2-core)."""
+
+
+class NotApplicableError(ValueError):
+    """Steinberg factorization requested for a partition with n-regular conjugate."""
 
 
 def check_partition(parts) -> Partition:
@@ -114,11 +122,6 @@ def revlex_order(m: int) -> tuple[Partition, ...]:
     if m < 0:
         raise ValueError("m must be nonnegative")
     return tuple(partitions_of(m))
-
-
-@lru_cache(maxsize=None)
-def revlex_index(m: int) -> dict[Partition, int]:
-    return {p: i for i, p in enumerate(revlex_order(m))}
 
 
 # -- nodes and residues ------------------------------------------------------
@@ -196,6 +199,29 @@ def is_n_regular(p: Partition, n: int) -> bool:
         if p[j] == p[j + n - 1]:
             return False
     return True
+
+
+def steinberg_decompose(p: Partition, n: int) -> tuple[Partition, Partition]:
+    """Write p = mu + n*alpha with mu n-restricted (mu' n-regular).
+
+    Each row difference p_i - p_{i+1} (p_{l+1} = 0) splits into its residue
+    mod n, a row difference of mu, and its quotient, one of alpha.  Raises
+    NotApplicableError when alpha is empty, that is when p' is n-regular.
+    """
+    mu_rows: list[int] = []
+    alpha_rows: list[int] = []
+    mu_sum = alpha_sum = below = 0
+    for part in reversed(p):
+        quo, rem = divmod(part - below, n)
+        mu_sum, alpha_sum, below = mu_sum + rem, alpha_sum + quo, part
+        mu_rows.append(mu_sum)
+        alpha_rows.append(alpha_sum)
+    if not alpha_sum:
+        raise NotApplicableError(f"conjugate of {p} is {n}-regular")
+    return (
+        tuple(x for x in reversed(mu_rows) if x),
+        tuple(x for x in reversed(alpha_rows) if x),
+    )
 
 
 # -- abacus, cores and quotients ---------------------------------------------
@@ -278,36 +304,48 @@ def _strip_steps(p: Partition, n: int, k: int, above: bool):
     The walk is depth first, one list of candidate origins per step taken: a
     step between u and u + n changes only those two places, so of the origins
     past u it takes away none and adds at most u + n (above) or u - n (below).
+    Lists are never changed in place, so a step that adds no origin shares its
+    list with the level below.  The last step needs no list: every origin
+    left ends one strip.
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
-    beads = beta_set(p, _norm_slots(p, n, extra=k))
-    filled = bytearray(beads[0] + n * k + 1)
-    for b in beads:
-        filled[b] = 1
-    sign = 1 if above else -1  # an origin u is listed as sign * u, in walk order
-
-    def free(u: int) -> bool:
-        """Whether a step between u and u + n can be walked now."""
-        return 0 <= u < len(filled) - n and filled[u] == above and filled[u + n] != above
-
-    bead_origins = (b if above else b - n for b in beads)  # each bead's step up, or down
-    levels = [sorted(sign * u for u in bead_origins if free(u))]
+    slots = _norm_slots(p, n, extra=k)
+    tail = slots - len(p)  # beads 0 .. tail - 1 stand for the empty rows
+    filled = bytearray(b"\x01") * tail + bytearray((p[0] if p else 0) + len(p) + n * k)
+    for j, part in enumerate(p):
+        filled[part + slots - 1 - j] = 1
+    last = len(filled) - n  # a step between u and u + n needs u < last
+    if above:  # an origin u is listed as sign * u, in walk order
+        sign = 1
+        origins = [u for u in range(max(tail - n, 0), last) if filled[u] and not filled[u + n]]
+    else:
+        sign = -1
+        origins = [-u for u in range(last - 1, tail - 1, -1) if filled[u + n] and not filled[u]]
+    levels = [origins]
     steps: list[tuple[int, int, int]] = []
     while True:
         origins = levels[-1]
-        if len(steps) < k and origins:
+        if len(steps) < k - 1 and origins:
             u = sign * origins[0]
             steps.append((u, filled.count(1, u + 1, u + n), filled.count(1, 0, u)))
             filled[u], filled[u + n] = filled[u + n], filled[u]
-            levels[-1] = origins[1:]
-            levels.append(origins[1:])
-            if free(u + sign * n):
-                insort(levels[-1], sign * u + n)
+            levels[-1] = rest = origins[1:]
+            w = u + sign * n  # the one place that may have become an origin
+            if 0 <= w < last and filled[w] == above and filled[w + n] != above:
+                rest = rest.copy()
+                insort(rest, sign * w)
+            levels.append(rest)
             continue
-        if len(steps) == k:
-            other = partition_from_beta([b for b, f in enumerate(filled) if f])
-            yield other, len(beads), tuple(steps)
+        if len(steps) == k - 1:  # the last step: each origin left ends a strip
+            for u in origins:
+                u *= sign
+                step = (u, filled.count(1, u + 1, u + n), filled.count(1, 0, u))
+                filled[u], filled[u + n] = filled[u + n], filled[u]
+                yield _partition_of(filled), slots, (*steps, step)
+                filled[u], filled[u + n] = filled[u + n], filled[u]
+        elif not k:
+            yield _partition_of(filled), slots, ()
         levels.pop()
         if not steps:
             return
@@ -315,24 +353,34 @@ def _strip_steps(p: Partition, n: int, k: int, above: bool):
         filled[u], filled[u + n] = filled[u + n], filled[u]
 
 
-def _ribbon_strips(p: Partition, n: int, k: int, above: bool) -> list[RibbonStrip]:
-    """All horizontal n-ribbon strips of weight k growing out of p (above) or
-    inside p (below); the height is the number of beads the steps pass."""
-    strips = []
-    for other, _, steps in _strip_steps(p, n, k, above):
-        source, target = (p, other) if above else (other, p)
-        strips.append(RibbonStrip(source, target, n, k, sum(s[1] for s in steps)))
-    return strips
+def _partition_of(filled: bytearray) -> Partition:
+    """The partition whose beads are the places set in filled: each bead above
+    the first free place gives a part, the number of free places below it."""
+    parts = []
+    gaps = 0
+    for bead in filled[filled.find(0) :]:
+        if not bead:
+            gaps += 1
+        elif gaps:
+            parts.append(gaps)
+    return tuple(parts[::-1])
 
 
 def ribbon_strips_above(p: Partition, n: int, k: int) -> list[RibbonStrip]:
-    """All horizontal n-ribbon strips of weight k growing out of p."""
-    return _ribbon_strips(p, n, k, above=True)
+    """All horizontal n-ribbon strips of weight k growing out of p; the height
+    is the number of beads the steps pass."""
+    return [
+        RibbonStrip(p, other, n, k, sum([s[1] for s in steps]))
+        for other, _, steps in _strip_steps(p, n, k, True)
+    ]
 
 
 def ribbon_strips_below(p: Partition, n: int, k: int) -> list[RibbonStrip]:
     """All horizontal n-ribbon strips of weight k inside p (strip removal)."""
-    return _ribbon_strips(p, n, k, above=False)
+    return [
+        RibbonStrip(other, p, n, k, sum([s[1] for s in steps]))
+        for other, _, steps in _strip_steps(p, n, k, False)
+    ]
 
 
 # -- dominoes (n = 2) ----------------------------------------------------------

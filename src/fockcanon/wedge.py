@@ -12,24 +12,33 @@ A WedgeVector is a plain dict mapping normally ordered words to LaurentPoly
 coefficients; bar images of basis vectors come out keyed by partitions so the
 bosonic layer can consume them directly.
 
-Bar images come from bar(f_i v) = f_i bar(v): a partition reached by a
-Chevalley step f_i from one degree lower, with every other term of that step
-lex-smaller, gets its image from images already built.  Only the rest, such
-as (2,2) for n=2 or (3,3,3,1) for n=3, are straightened by word reversal.
+Bar images come by three routes, tried in this order (see ``bar_basis``):
+  f-step: bar(f_i v) = f_i bar(v) for a partition reached by a Chevalley step
+    f_i from one degree lower, every other term of that step lex-smaller;
+  S-step: bar(S_alpha v) = S_alpha bar(v) for a partition lam whose conjugate
+    is n-singular, so that lam = mu + n*alpha and S_alpha|mu> is +-|lam> plus
+    lex-smaller terms; S_alpha is the ribbon operator of the fock module;
+  straightening: word reversal for the n-restricted rest, such as (1,1,1,1)
+    for n=2 or (3,3,3,1) for n=3.
+The first two build an image from images already built; the fock module is
+imported as a module, so the import cycle with it resolves at call time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 
 from . import _straighten_py as _kernel
+from . import fock
 from .laurent import ONE, LaurentPoly, add_product, collect
 from .partitions import (
+    NotApplicableError,
     Partition,
     add_node_variants,
     remove_node,
-    revlex_index,
     rim_nodes,
+    steinberg_decompose,
 )
 
 
@@ -207,6 +216,14 @@ def _f_step(lam: Partition, n: int) -> tuple[int, Partition] | None:
     return None
 
 
+def _unitriangular(lam: Partition, col: dict, how: str) -> dict:
+    """col, after checking that it is |lam> plus lex-smaller terms (within a
+    degree, revlex order is descending tuple order)."""
+    if col.get(lam) != ONE or any(nu > lam for nu in col):
+        raise AssertionError(f"bar|{lam}> built through {how} is not unitriangular")
+    return col
+
+
 def _f_column(
     lam: Partition, n: int, i: int, mu: Partition, e: int, others: dict
 ) -> dict[Partition, LaurentPoly]:
@@ -226,39 +243,89 @@ def _f_column(
         scale = LaurentPoly.monomial(-1, e - e_a)
         for nu, c in _bar_images[(n, target)].items():
             add_product(sums.setdefault(nu, {}), c, scale)
+    return _unitriangular(lam, collect(sums), f"f_{i}")
+
+
+def _s_step(lam: Partition, n: int):
+    """(alpha, mu, S_alpha|mu>) for lam = mu + n*alpha (steinberg_decompose),
+    after checking that S_alpha|mu> = t|lam> + (lex-smaller terms) with
+    t = +-1; None when lam' is n-regular."""
+    try:
+        mu, alpha = steinberg_decompose(lam, n)
+    except NotApplicableError:
+        return None
+    top = fock.s_alpha(alpha, fock.FockVector.basis(mu), n).terms
+    if top.get(lam) not in (ONE, -ONE) or any(nu > lam for nu in top):
+        raise AssertionError(f"S_{alpha}|{mu}> is not +-|{lam}> plus lex-smaller terms")
+    return alpha, mu, top
+
+
+def _s_column(
+    lam: Partition, n: int, alpha: Partition, mu: Partition, top: dict
+) -> dict[Partition, LaurentPoly]:
+    """bar|lam> = t (S_alpha bar|mu> - sum_{nu != lam} bar(s_nu) bar|nu>).
+
+    S_alpha|mu> = top = t|lam> + sum s_nu|nu> as in _s_step; bar commutes
+    with S_alpha.  bar|mu> is |mu> plus lex-smaller terms, so S_alpha bar|mu>
+    is top plus S_alpha of those terms.  Every image used must already be in
+    _bar_images.
+    """
+    below_mu = {x: c for x, c in _bar_images[(n, mu)].items() if x != mu}
+    image = fock.s_alpha(alpha, fock.FockVector(below_mu), n).terms if below_mu else {}
+    sums: dict[Partition, dict[int, int]] = {}
+    for part in (top, image):
+        for nu, s in part.items():
+            add_product(sums.setdefault(nu, {}), ONE, s)
+    for nu, s in top.items():
+        if nu != lam:
+            scale = -s.bar()
+            for y, c in _bar_images[(n, nu)].items():
+                add_product(sums.setdefault(y, {}), c, scale)
     col = collect(sums)
-    rank = revlex_index(sum(lam))
-    if col.get(lam) != ONE or any(rank[nu] < rank[lam] for nu in col):
-        raise AssertionError(f"bar|{lam}> built through f_{i} is not unitriangular")
-    return col
+    if top[lam] != ONE:  # t = -1
+        col = {nu: -c for nu, c in col.items()}
+    return _unitriangular(lam, col, f"S_{alpha}")
 
 
 def bar_basis(p: Partition, n: int) -> dict[Partition, LaurentPoly]:
     """Bar involution of the basis vector of p, expanded over partitions.
 
-    Built through bar(f_i v) = f_i bar(v) from images one degree lower and
-    lex-smaller images of the same degree (_f_column), which are built first
-    on an explicit stack.  Only the partitions that no f_i step reaches, such
-    as (2,2) and (6,6) for n=2, are straightened by word reversal
-    (_bar_by_straightening).
+    Each image comes by the first of three routes that applies; the images a
+    route needs, one degree lower or lex-smaller in the same degree, are
+    built first on an explicit stack:
+      f-step: bar(f_i v) = f_i bar(v) when _f_step reaches lam (_f_column);
+      S-step: bar(S_alpha v) = S_alpha bar(v) when lam' is n-singular, so
+        that lam = mu + n*alpha (_s_column);
+      straightening: word reversal for the rest, the n-restricted partitions
+        no f_i step reaches, such as (1,1,1,1) for n=2 and (3,3,3,1) for n=3
+        (_bar_by_straightening).
     """
     pending = [p]
+    planned: dict[Partition, partial] = {}  # builds waiting for the images they need
     while pending:
         lam = pending[-1]
         if (n, lam) in _bar_images:
             pending.pop()
             continue
-        step = _f_step(lam, n)
-        if step is None:
-            # no f_i step reaches lam; bar fixes the vacuum
-            _bar_images[(n, lam)] = _bar_by_straightening(lam, n) if lam else {(): ONE}
-            continue
-        i, mu = step
-        others = dict(add_node_variants(mu, i, n))
-        e = others.pop(lam)
-        missing = [nu for nu in (mu, *others) if (n, nu) not in _bar_images]
-        if missing:
-            pending += missing
-        else:
-            _bar_images[(n, lam)] = _f_column(lam, n, i, mu, e, others)
+        build = planned.pop(lam, None)
+        if build is None:
+            f_step = _f_step(lam, n)
+            if f_step is not None:
+                i, mu = f_step
+                others = dict(add_node_variants(mu, i, n))
+                e = others.pop(lam)
+                needs, build = (mu, *others), partial(_f_column, lam, n, i, mu, e, others)
+            elif (s_step := _s_step(lam, n)) is not None:
+                alpha, mu, top = s_step
+                needs, build = (mu, *top), partial(_s_column, lam, n, alpha, mu, top)
+            else:
+                # bar fixes the vacuum
+                _bar_images[(n, lam)] = _bar_by_straightening(lam, n) if lam else {(): ONE}
+                continue
+            missing = [nu for nu in needs if nu != lam and (n, nu) not in _bar_images]
+            if missing:
+                planned[lam] = build
+                pending += missing
+                continue
+        _bar_images[(n, lam)] = build()
     return dict(_bar_images[(n, p)])

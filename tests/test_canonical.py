@@ -24,7 +24,6 @@ from fockcanon.partitions import (
     is_n_regular,
     n_core_quotient,
     partitions_of,
-    revlex_index,
     revlex_order,
 )
 
@@ -87,7 +86,7 @@ def test_canonical_lower_core_is_bare():
 def _bar_correction_basis(n, m, lower):
     """Slow oracle: from |mu> upward in revlex, cancel the revlex-maximal
     defect of bar(v) - v with an earlier basis vector until v is bar-invariant."""
-    index = revlex_index(m)
+    index = {p: i for i, p in enumerate(revlex_order(m))}
     basis = {}
     for block in blocks(n, m).values():
         for mu in reversed(block):

@@ -1,9 +1,12 @@
+import random
+import time
+
 import pytest
 
 from fockcanon import fock, symfunc
 from fockcanon.fock import FockVector
 from fockcanon.laurent import LaurentPoly, NonIntegralResultError, ZERO, q_int
-from fockcanon.partitions import partitions_of
+from fockcanon.partitions import partition_label, partitions_of, revlex_order
 
 P = LaurentPoly.from_terms
 
@@ -210,3 +213,21 @@ def test_vector_pretty_and_json():
     assert FockVector.from_json(v.to_json()) == v
     g = basis((2,)) + basis((1, 1)).scale(P({1: 1, -1: -1}))
     assert g.pretty() == "|2> + (q-q^-1)|11>"
+
+
+def test_vector_pretty_orders_by_degree_then_revlex():
+    order = [p for m in range(11) for p in revlex_order(m)]
+    shuffled = order[:]
+    random.Random(0).shuffle(shuffled)
+    v = FockVector({p: P({0: 1}) for p in shuffled})
+    assert v.pretty() == " + ".join(f"|{partition_label(p)}>" for p in order)
+
+
+def test_vector_pretty_does_not_enumerate_the_degree():
+    # 201 terms of degree 400: revlex_order(400) would not fit in memory
+    v = FockVector({(400 - j, j) if j else (400,): P({j: 1}) for j in range(201)})
+    t0 = time.perf_counter()
+    text = v.pretty()
+    assert time.perf_counter() - t0 < 1.0
+    assert text.startswith("|[400]> + q|[399,1]> + q^2|[398,2]>")
+    assert text.endswith("q^200|[200,200]>")

@@ -47,7 +47,7 @@ def test_revlex_order_edge():
 
 def test_revlex_extends_dominance():
     for m in range(11):
-        idx = pt.revlex_index(m)
+        idx = {p: i for i, p in enumerate(pt.revlex_order(m))}
         for a in pt.partitions_of(m):
             for b in pt.partitions_of(m):
                 if pt.dominance_leq(a, b) and a != b:

@@ -3,7 +3,7 @@ import pytest
 from fockcanon import canonical, wedge
 from fockcanon.wedge import _kernel
 from fockcanon.laurent import LaurentPoly
-from fockcanon.partitions import partitions_of
+from fockcanon.partitions import conjugate, is_n_regular, partitions_of
 
 P = LaurentPoly.from_terms
 Q = LaurentPoly.monomial
@@ -176,7 +176,8 @@ def test_bar_basis_k_too_small():
 
 
 def _recursion_mismatches(ns, max_m) -> list:
-    """(n, lam) whose bar image built through f_i differs from straightening."""
+    """(n, lam) whose bar image built through f_i or S_alpha differs from
+    straightening."""
     wedge.clear_caches()
     try:
         return [
@@ -191,9 +192,11 @@ def _recursion_mismatches(ns, max_m) -> list:
 
 
 def test_bar_recursion_matches_straightening():
-    # The only independent check of the f_i recursion: exponents negated in
-    # the f_i step still give unitriangular columns and pass the recursion's
-    # own check, but change bar images (see test_broken_f_step_is_caught).
+    # The only independent check of the f_i and S_alpha recursions: exponents
+    # negated in the f_i step, or un-barred coefficients in the S-step, still
+    # give unitriangular columns and pass the recursion's own check, but
+    # change bar images (see test_broken_f_step_is_caught and
+    # test_broken_s_step_is_caught).
     assert _recursion_mismatches((2, 3, 4), 9) == []
 
 
@@ -222,6 +225,90 @@ def test_broken_f_step_is_caught(monkeypatch, name):
             _recursion_mismatches((2, 3), 7)
     else:
         assert _recursion_mismatches((2, 3), 7)
+
+
+def test_s_step_partitions():
+    # (2,2) = () + 2*(1,1): S_(1,1)|0> = |22> - q^-1|211> + q^-2|1111>
+    alpha, mu, top = wedge._s_step((2, 2), 2)
+    assert (alpha, mu) == ((1, 1), ())
+    assert top == {(2, 2): P({0: 1}), (2, 1, 1): P({-1: -1}), (1, 1, 1, 1): P({-2: 1})}
+    assert wedge._s_step((1, 1, 1, 1), 2) is None
+    assert wedge._s_step((3, 3, 3, 1), 3) is None
+    wedge.clear_caches()
+
+
+@pytest.mark.parametrize("name", ["unbarred", "flipped"])
+def test_broken_s_step_is_caught(monkeypatch, name):
+    real = wedge._s_step
+
+    def broken(lam, n):
+        step = real(lam, n)
+        if step is None:
+            return None
+        alpha, mu, top = step
+        if name == "unbarred":
+            # _s_column bars these again, so it corrects with s_nu un-barred
+            top = {nu: s if nu == lam else s.bar() for nu, s in top.items()}
+        else:
+            top = {nu: -s if nu == lam else s for nu, s in top.items()}
+        return alpha, mu, top
+
+    monkeypatch.setattr(wedge, "_s_step", broken)
+    # both still give unitriangular columns, so only the oracle sees them
+    assert (2, (2, 2)) in _recursion_mismatches((2, 3), 7)
+
+
+def test_s_step_with_top_coefficient_minus_one(monkeypatch):
+    # -S_alpha also commutes with bar and has top coefficient t = -1, so the
+    # images it builds must still match straightening
+    real = wedge.fock.s_alpha
+    monkeypatch.setattr(wedge.fock, "s_alpha", lambda alpha, v, n: -real(alpha, v, n))
+    assert _recursion_mismatches((2, 3), 7) == []
+
+
+def test_s_step_top_coefficient_must_be_a_sign(monkeypatch):
+    real = wedge.fock.s_alpha
+    monkeypatch.setattr(
+        wedge.fock, "s_alpha", lambda alpha, v, n: real(alpha, v, n).scale(P({1: 1}))
+    )
+    wedge.clear_caches()
+    try:
+        with pytest.raises(AssertionError, match=r"S_\(1, 1\)\|\(\)> is not"):
+            wedge.bar_basis((2, 2), 2)
+    finally:
+        wedge.clear_caches()
+
+
+def test_only_case_b_partitions_are_straightened(monkeypatch):
+    calls = []
+    straightened = []
+    real_kernel = wedge._kernel.straighten_terms
+    real_bar = wedge._bar_by_straightening
+
+    def counted(word, n):
+        calls.append(word)
+        return real_kernel(word, n)
+
+    def recorded(p, n, k=None):
+        straightened.append(p)
+        return real_bar(p, n, k)
+
+    monkeypatch.setattr(wedge._kernel, "straighten_terms", counted)
+    monkeypatch.setattr(wedge, "_bar_by_straightening", recorded)
+    wedge.clear_caches()
+    try:
+        canonical.a_matrix(2, 8)
+    finally:
+        wedge.clear_caches()
+    case_b = [
+        lam
+        for m in range(1, 9)
+        for lam in partitions_of(m)
+        if wedge._f_step(lam, 2) is None and is_n_regular(conjugate(lam), 2)
+    ]
+    assert len(case_b) == 8
+    assert sorted(straightened) == sorted(case_b)
+    assert len(calls) == 8
 
 
 def test_clear_caches_makes_bar_images_cold(monkeypatch):
