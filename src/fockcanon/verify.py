@@ -167,10 +167,11 @@ def run_involution(n: int, max_m: int) -> Report:
     f_i and B_-k.
 
     wedge.bar_basis builds most bar images from bar(f_i v) = f_i bar(v) and
-    bar(S_alpha v) = S_alpha bar(v), so the f_i commutation holds partly by
-    construction here; the independent check is
+    bar(S_alpha v) = S_alpha bar(v), and the rest from the image of lam[1:]
+    by the row step, so the f_i commutation holds partly by construction
+    here; the independent check is
     tests/test_wedge.py::test_bar_recursion_matches_straightening, which
-    compares those images with word reversal and straightening.
+    compares those images with the reversal of the whole word, straightened.
     """
     rep = Report("involution")
     for m in range(max_m + 1):

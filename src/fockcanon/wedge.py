@@ -18,15 +18,17 @@ Bar images come by three routes, tried in this order (see ``bar_basis``):
   S-step: bar(S_alpha v) = S_alpha bar(v) for a partition lam whose conjugate
     is n-singular, so that lam = mu + n*alpha and S_alpha|mu> is +-|lam> plus
     lex-smaller terms; S_alpha is the ribbon operator of the fock module;
-  straightening: word reversal for the n-restricted rest, such as (1,1,1,1)
-    for n=2 or (3,3,3,1) for n=3.
-The first two build an image from images already built; the fock module is
-imported as a module, so the import cycle with it resolves at call time.
+  row step: for the n-restricted rest, such as (1,1,1,1) for n=2 or
+    (3,3,3,1) for n=3, bar|lam> is the reversal of the word of lam, which
+    is the reversal of the word of lam[1:] with lam_1 appended: the image
+    of lam[1:], shifted by -1, has lam_1 inserted into each of its words.
+All three build an image from images already built, and only the row step
+straightens; the fock module is imported as a module, so the import cycle
+with it resolves at call time.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial
 
 from . import _straighten_py as _kernel
@@ -177,32 +179,6 @@ def b_action_words(k: int, wv: dict, n: int) -> dict:
     return collect(sums)
 
 
-def _bar_by_straightening(
-    p: Partition, n: int, k: int | None = None
-) -> dict[Partition, LaurentPoly]:
-    """Bar involution of the basis vector of p by word reversal.
-
-    Reverses the first k head entries (k >= |p|, default max(|p|, 1)) and
-    multiplies by (-1)^C(k,2) q^a where a counts the pairs r < s <= k with
-    i_r - i_s not divisible by n, that is C(k,2) less the pairs within one
-    residue class; the result is independent of k.
-    """
-    m = sum(p)
-    if k is None:
-        k = max(m, 1)
-    if k < max(m, 1):
-        raise ValueError(f"need k >= max(|p|, 1) = {max(m, 1)}")
-    word = partition_to_word(p, k)
-    same_residue = Counter(v % n for v in word).values()
-    alpha = k * (k - 1) // 2 - sum(c * (c - 1) // 2 for c in same_residue)
-    sign = -1 if (k * (k - 1) // 2) % 2 else 1
-    pref = LaurentPoly.monomial(sign, alpha)
-    return {
-        word_to_partition(res): pref * poly
-        for res, poly in straighten(word[::-1], n).items()
-    }
-
-
 def _f_step(lam: Partition, n: int) -> tuple[int, Partition] | None:
     """(i, mu) with lam = mu + b for the first removable node b in rim order
     whose residue i has no addable node of lam before b (in a row above it);
@@ -287,6 +263,31 @@ def _s_column(
     return _unitriangular(lam, col, f"S_{alpha}")
 
 
+def _row_column(lam: Partition, n: int) -> dict[Partition, LaurentPoly]:
+    """bar|lam> = c(w) c(w')^-1 sum_nu [bar|lam[1:]>]_nu
+    straighten((word(nu, k-1) - 1) + (lam_1,)).
+
+    Here k = |lam|, w = word(lam, k) and w' = w[1:].  bar|lam> is
+    c(w) straighten(rev(w)) with c(w) = (-1)^C(k,2) q^a(w), where a(w) counts
+    the pairs of entries of w in different residue classes mod n.  rev(w) is
+    rev(w') + (lam_1,), and w' is word(lam[1:], k-1) shifted by -1, so
+    straighten(rev(w')) is c(w')^-1 bar|lam[1:]> with every word shifted by
+    -1; straightening it first and then inserting lam_1 gives the same normal
+    form.  c(w) c(w')^-1 = (-1)^(k-1) q^a, where a counts the entries of w'
+    not congruent to lam_1.  bar|lam[1:]> must already be in _bar_images.
+    """
+    k = sum(lam)
+    w = partition_to_word(lam, k)
+    pref = LaurentPoly.monomial((-1) ** (k - 1), sum((v - w[0]) % n != 0 for v in w[1:]))
+    sums: dict[Partition, dict[int, int]] = {}
+    for nu, c in _bar_images[(n, lam[1:])].items():
+        row = tuple(v - 1 for v in partition_to_word(nu, k - 1)) + (w[0],)
+        scale = pref * c
+        for res, poly in _straighten_minimal(row, n):
+            add_product(sums.setdefault(word_to_partition(res), {}), scale, poly)
+    return _unitriangular(lam, collect(sums), "the row step")
+
+
 def bar_basis(p: Partition, n: int) -> dict[Partition, LaurentPoly]:
     """Bar involution of the basis vector of p, expanded over partitions.
 
@@ -296,9 +297,10 @@ def bar_basis(p: Partition, n: int) -> dict[Partition, LaurentPoly]:
       f-step: bar(f_i v) = f_i bar(v) when _f_step reaches lam (_f_column);
       S-step: bar(S_alpha v) = S_alpha bar(v) when lam' is n-singular, so
         that lam = mu + n*alpha (_s_column);
-      straightening: word reversal for the rest, the n-restricted partitions
-        no f_i step reaches, such as (1,1,1,1) for n=2 and (3,3,3,1) for n=3
-        (_bar_by_straightening).
+      row step: for the rest, the n-restricted partitions no f_i step
+        reaches, such as (1,1,1,1) for n=2 and (3,3,3,1) for n=3, bar|lam>
+        from bar|lam[1:]> by straightening each of its words, shifted by -1,
+        with lam_1 appended (_row_column).
     """
     pending = [p]
     planned: dict[Partition, partial] = {}  # builds waiting for the images they need
@@ -318,9 +320,10 @@ def bar_basis(p: Partition, n: int) -> dict[Partition, LaurentPoly]:
             elif (s_step := _s_step(lam, n)) is not None:
                 alpha, mu, top = s_step
                 needs, build = (mu, *top), partial(_s_column, lam, n, alpha, mu, top)
+            elif lam:
+                needs, build = (lam[1:],), partial(_row_column, lam, n)
             else:
-                # bar fixes the vacuum
-                _bar_images[(n, lam)] = _bar_by_straightening(lam, n) if lam else {(): ONE}
+                _bar_images[(n, lam)] = {(): ONE}  # bar fixes the vacuum
                 continue
             missing = [nu for nu in needs if nu != lam and (n, nu) not in _bar_images]
             if missing:

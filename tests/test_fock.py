@@ -198,6 +198,20 @@ def test_b_action_heisenberg_relation():
                     assert lhs == v.scale(scalar)
 
 
+def test_b_action_heisenberg_relation_on_long_windows():
+    # B_{-6} at n=2 moves one entry 12 places: past every entry of |321> and
+    # |22>, and of the words B_6 then brings back
+    k, n = 6, 2
+    scalar = P({-2 * k * j: k for j in range(n)})
+    t0 = time.perf_counter()
+    for lam in ((3, 2, 1), (2, 2)):
+        v = basis(lam)
+        lhs = fock.b_action(k, fock.b_action(-k, v, n), n) - \
+            fock.b_action(-k, fock.b_action(k, v, n), n)
+        assert lhs == v.scale(scalar)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_b_action_below_degree_kn_is_zero_without_straightening(monkeypatch):
     def refuse(word, n):
         raise AssertionError("a term of degree below kn was straightened")

@@ -1,3 +1,8 @@
+import sys
+from collections import Counter
+from itertools import product
+from random import Random
+
 import pytest
 
 from fockcanon import canonical, wedge
@@ -160,19 +165,44 @@ def test_bar_basis_examples():
     assert wedge.bar_basis((), 2) == {(): P({0: 1})}
 
 
+def _bar_by_straightening(p, n: int, k: int | None = None) -> dict:
+    """Oracle for bar_basis: the bar involution of the basis vector of p by
+    word reversal.
+
+    Reverses the first k head entries (k >= |p|, default max(|p|, 1)) and
+    multiplies by (-1)^C(k,2) q^a where a counts the pairs r < s <= k with
+    i_r - i_s not divisible by n, that is C(k,2) less the pairs within one
+    residue class; the result is independent of k.
+    """
+    m = sum(p)
+    if k is None:
+        k = max(m, 1)
+    if k < max(m, 1):
+        raise ValueError(f"need k >= max(|p|, 1) = {max(m, 1)}")
+    word = wedge.partition_to_word(p, k)
+    same_residue = Counter(v % n for v in word).values()
+    alpha = k * (k - 1) // 2 - sum(c * (c - 1) // 2 for c in same_residue)
+    sign = -1 if (k * (k - 1) // 2) % 2 else 1
+    pref = LaurentPoly.monomial(sign, alpha)
+    return {
+        wedge.word_to_partition(res): pref * poly
+        for res, poly in wedge.straighten(word[::-1], n).items()
+    }
+
+
 def test_bar_basis_k_independence():
     for n in (2, 3):
         for m in range(7):
             for lam in partitions_of(m):
                 k0 = max(m, 1)
-                base = wedge._bar_by_straightening(lam, n, k0)
-                assert wedge._bar_by_straightening(lam, n, k0 + 1) == base
-                assert wedge._bar_by_straightening(lam, n, k0 + 2) == base
+                base = _bar_by_straightening(lam, n, k0)
+                assert _bar_by_straightening(lam, n, k0 + 1) == base
+                assert _bar_by_straightening(lam, n, k0 + 2) == base
 
 
 def test_bar_basis_k_too_small():
     with pytest.raises(ValueError):
-        wedge._bar_by_straightening((2, 1), 2, 2)
+        _bar_by_straightening((2, 1), 2, 2)
 
 
 def _recursion_mismatches(ns, max_m) -> list:
@@ -185,7 +215,7 @@ def _recursion_mismatches(ns, max_m) -> list:
             for n in ns
             for m in range(max_m + 1)
             for lam in partitions_of(m)
-            if wedge.bar_basis(lam, n) != wedge._bar_by_straightening(lam, n)
+            if wedge.bar_basis(lam, n) != _bar_by_straightening(lam, n)
         ]
     finally:
         wedge.clear_caches()
@@ -280,21 +310,29 @@ def test_s_step_top_coefficient_must_be_a_sign(monkeypatch):
 
 
 def test_only_case_b_partitions_are_straightened(monkeypatch):
+    # the row step is the only route that straightens: every kernel call of
+    # a cold a_matrix(2, 8) comes from a row step, and the row step is taken
+    # exactly for the case-(b) partitions
     calls = []
-    straightened = []
+    rows = []
+    inside = []
     real_kernel = wedge._kernel.straighten_terms
-    real_bar = wedge._bar_by_straightening
+    real_row = wedge._row_column
 
     def counted(word, n):
-        calls.append(word)
+        calls.append(bool(inside))
         return real_kernel(word, n)
 
-    def recorded(p, n, k=None):
-        straightened.append(p)
-        return real_bar(p, n, k)
+    def recorded(lam, n):
+        rows.append(lam)
+        inside.append(lam)
+        try:
+            return real_row(lam, n)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(wedge._kernel, "straighten_terms", counted)
-    monkeypatch.setattr(wedge, "_bar_by_straightening", recorded)
+    monkeypatch.setattr(wedge, "_row_column", recorded)
     wedge.clear_caches()
     try:
         canonical.a_matrix(2, 8)
@@ -307,8 +345,8 @@ def test_only_case_b_partitions_are_straightened(monkeypatch):
         if wedge._f_step(lam, 2) is None and is_n_regular(conjugate(lam), 2)
     ]
     assert len(case_b) == 8
-    assert sorted(straightened) == sorted(case_b)
-    assert len(calls) == 8
+    assert sorted(rows) == sorted(case_b)
+    assert calls and all(calls)
 
 
 def test_clear_caches_makes_bar_images_cold(monkeypatch):
@@ -376,12 +414,83 @@ def slow_straighten(terms, n: int) -> dict:
     return out
 
 
-def test_kernel_matches_slow_oracle():
+def _kernel_terms(w, n: int) -> dict:
+    """The kernel's normal form of the finite word w, keyed like the oracle."""
+    out = _kernel.straighten_terms(w, n)
+    return {wedge.minimal_head(res): P(poly) for res, poly in out.items()}
+
+
+def _shaped_words() -> list:
+    """Finite words of the shapes the kernel meets beyond reversed partition
+    words: B_{-k} windows, a normal word and a larger last entry; B_k
+    windows, a smaller first entry and a normal word (either extra entry may
+    equal an entry it is not next to); and words with equal entries that are
+    not adjacent."""
+    normal = {
+        wedge.partition_to_word(lam, K)
+        for m in range(6)
+        for lam in partitions_of(m)
+        for K in (max(len(lam), 1), len(lam) + 1)
+    }
+    words = set()
+    for u in normal:
+        words.update(u + (x,) for x in range(u[-1] + 1, u[0] + 6))
+        words.update((y,) + u for y in range(u[-1] - 1, u[0]))
+    repeats = [
+        w
+        for w in product(range(-2, 4), repeat=4)
+        if len(set(w)) < 4 and all(a != b for a, b in zip(w, w[1:]))
+    ]
+    rng = Random(7)
+    while len(repeats) < 1000:
+        w = tuple(rng.randrange(-4, 5) for _ in range(6))
+        if len(set(w)) < 6 and all(a != b for a, b in zip(w, w[1:])):
+            repeats.append(w)
+    return sorted(words) + repeats
+
+
+@pytest.fixture
+def bounded_kernel(monkeypatch):
+    """Fail, rather than fill the memory, when the kernel does not terminate.
+
+    The kernel opens at most 114 insertion frames for a word of the oracle
+    test, and one per entry passed for the pure-swap word."""
+    real_terms, real_frame = _kernel.straighten_terms, _kernel._insertion
+    budget = [0]
+
+    def terms(word, n):
+        budget[0] = 200 + 2 * len(word)
+        return real_terms(word, n)
+
+    def frame(u, x, n):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise AssertionError(f"inserting {x} into {u} does not terminate")
+        return real_frame(u, x, n)
+
+    monkeypatch.setattr(_kernel, "straighten_terms", terms)
+    monkeypatch.setattr(_kernel, "_insertion", frame)
+
+
+def test_kernel_matches_slow_oracle(bounded_kernel):
+    shaped = _shaped_words()
+    assert len(shaped) > 1400
+    wedge.clear_caches()  # so that wedge.straighten reaches the kernel
     for n in (2, 3, 4):
         for m in range(8):
             for lam in partitions_of(m):
                 w = wedge.partition_to_word(lam, max(m, 1))[::-1]
                 assert wedge.straighten(w, n) == slow_straighten([(w, Q(1))], n), (n, lam)
+        for w in shaped:
+            assert _kernel_terms(w, n) == slow_straighten([(w, Q(1))], n), (n, w)
+
+
+def test_kernel_passes_the_recursion_limit(bounded_kernel):
+    # one entry passes L others by pure swaps (every gap divisible by n):
+    # the result is the swapped word with sign (-1)^L, however long the word
+    L = sys.getrecursionlimit()
+    head = tuple(range(0, -2 * L, -2))
+    assert _kernel.straighten_terms(head + (2,), 2) == {(2,) + head: {0: (-1) ** L}}
 
 
 def test_backend_reports_a_kernel():
