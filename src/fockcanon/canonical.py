@@ -103,11 +103,12 @@ def blocks(n: int, m: int) -> dict[Partition, tuple[Partition, ...]]:
 
 def a_matrix(n: int, m: int) -> TransitionMatrix:
     """Bar matrix: column mu holds bar|mu> in the standard basis."""
+    images = wedge.bar_degree(m, n)
     entries: dict[tuple[Partition, Partition], LaurentPoly] = {}
     for block in blocks(n, m).values():
         block_set = set(block)
         for mu in block:
-            for lam, c in fock.bar_basis_vector(mu, n).items():
+            for lam, c in images[mu].items():
                 if lam not in block_set:
                     raise AssertionError(f"bar|{mu}> leaves its n-core block")
                 entries[(lam, mu)] = c
@@ -162,7 +163,7 @@ def _canonical_basis(
     """
     sign = -1 if lower else 1
     entries = _block_walk(
-        n, m, lambda nu: wedge.bar_basis(nu, n), LaurentPoly.bar,
+        n, m, wedge.bar_degree(m, n).__getitem__, LaurentPoly.bar,
         lambda acc: LaurentPoly.from_terms(
             {sign * j: sign * r for j, r in antisym_split(acc).items()}
         ),

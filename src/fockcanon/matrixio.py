@@ -95,8 +95,15 @@ def matrix_from_json(text: str) -> TransitionMatrix:
 # -- cache ---------------------------------------------------------------------
 
 
+# Raised whenever a change of algorithm may change a document, so that an
+# entry an earlier algorithm stored is never found, and never served; the
+# documents themselves carry no version.  Entries named without one are from
+# version 1.
+ALGORITHM_VERSION = 2
+
+
 def cache_path(directory: str, kind: str, n: int, m: int) -> str:
-    return os.path.join(directory, f"{kind}_n{n}_m{m}.json")
+    return os.path.join(directory, f"{kind}_n{n}_m{m}.v{ALGORITHM_VERSION}.json")
 
 
 def cache_store(directory: str, mat: TransitionMatrix, payload: str | None = None) -> str:

@@ -127,17 +127,16 @@ def test_column_recursion_matches_bar_correction():
     ],
 )
 def test_broken_bar_image_fails_loudly(monkeypatch, mu, lam, poly, error):
-    real = wedge.bar_basis
+    real = wedge.bar_degree
 
-    def broken(p, n):
-        image = real(p, n)
-        if p == mu:
-            image[lam] = poly
-        return image
+    def broken(m, n):
+        images = dict(real(m, n))
+        images[mu] = {**images[mu], lam: poly}  # the stored image stays as it is
+        return images
 
     canonical_upper.cache_clear()
     canonical_lower.cache_clear()
-    monkeypatch.setattr(wedge, "bar_basis", broken)
+    monkeypatch.setattr(wedge, "bar_degree", broken)
     try:
         with pytest.raises(error):
             canonical_upper(2, sum(mu))

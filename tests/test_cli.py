@@ -288,7 +288,7 @@ def test_cache_round_trip(tmp_path, capsys):
         "--format", "json", "--cache-dir", cache,
     )
     assert code == 0
-    stored = (tmp_path / "cache" / "D_n2_m4.json").read_text()
+    stored = Path(matrixio.cache_path(cache, "D", 2, 4)).read_text()
     assert stored == first
     # second call is served from the cache, byte-identical
     code, second = run_cli(
@@ -296,6 +296,23 @@ def test_cache_round_trip(tmp_path, capsys):
         "--format", "json", "--cache-dir", cache,
     )
     assert second == first
+
+
+def test_entry_of_an_earlier_algorithm_is_recomputed(tmp_path, capsys):
+    # an entry stored under the name the cache used before it had a version,
+    # with a d_{lam mu} that passes every load check but is not D's
+    cache = tmp_path / "cache"
+    argv = ("matrix", "--kind", "D", "-n", "2", "-m", "4", "--format", "json",
+            "--cache-dir", str(cache))
+    code, want = run_cli(capsys, *argv, "--no-cache")
+    stale = _edit_entries(want, _set_entry([1, 0], {"min": 2, "c": ["1"]}))
+    assert matrixio.matrix_from_json(stale) != matrixio.matrix_from_json(want)
+    cache.mkdir()
+    (cache / "D_n2_m4.json").write_text(stale)
+    code, got = run_cli(capsys, *argv)
+    assert (code, got) == (0, want)
+    assert Path(matrixio.cache_path(str(cache), "D", 2, 4)).read_text() == want
+    assert (cache / "D_n2_m4.json").read_text() == stale
 
 
 def test_cache_env_var_override(tmp_path, capsys, monkeypatch):
@@ -306,7 +323,7 @@ def test_cache_env_var_override(tmp_path, capsys, monkeypatch):
         capsys, "matrix", "--kind", "A", "-n", "2", "-m", "2", "--format", "pretty",
     )
     assert code == 0
-    assert (cache / "A_n2_m2.json").exists()
+    assert Path(matrixio.cache_path(str(cache), "A", 2, 2)).exists()
 
 
 def test_cache_load_rejects_corrupted_schema(tmp_path):
@@ -370,7 +387,7 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, m, damage):
     argv = ("matrix", "--kind", "D", "-n", "2", "-m", str(m), "--format", "json",
             "--cache-dir", cache)
     code, first = run_cli(capsys, *argv)
-    path = tmp_path / "cache" / f"D_n2_m{m}.json"
+    path = Path(matrixio.cache_path(cache, "D", 2, m))
     path.write_text(damage(first), errors="surrogateescape")
     code, again = run_cli(capsys, *argv)
     assert (code, again) == (0, first)
@@ -400,7 +417,7 @@ def test_failed_cache_store_still_prints_the_matrix(tmp_path, capsys, monkeypatc
 def test_unusable_cache_dir_exits_2_before_computing(tmp_path, capsys, monkeypatch, via, case):
     taken = tmp_path / "taken"
     if case == "entry-is-dir":
-        (taken / "A_n2_m3.json").mkdir(parents=True)
+        Path(matrixio.cache_path(str(taken), "A", 2, 3)).mkdir(parents=True)
     else:
         taken.write_text("")
     cache = str(taken / "x" if case == "below-file" else taken)

@@ -1,11 +1,13 @@
+import gc
 import sys
+import weakref
 from collections import Counter
 from itertools import product
 from random import Random
 
 import pytest
 
-from fockcanon import canonical, wedge
+from fockcanon import canonical, partitions, wedge
 from fockcanon.wedge import _kernel
 from fockcanon.laurent import LaurentPoly
 from fockcanon.partitions import conjugate, is_n_regular, partitions_of
@@ -238,17 +240,108 @@ def test_f_step_fallback_partitions():
     assert wedge._f_step((2, 1), 2) == (1, (1, 1))
 
 
+def _f_step_by_rim_scan(lam, n: int):
+    """Oracle for the f-step of a row: (i, mu) with lam = mu + b for the
+    first removable node b in rim order whose residue i has no addable node
+    of lam before b; None when there is no such node."""
+    seen = set()
+    for sign, r, i in partitions.rim_nodes(lam, n):
+        if sign > 0:
+            seen.add(i)
+        elif i not in seen:
+            return i, partitions.remove_node(lam, r)
+    return None
+
+
+def test_node_rows_match_rim_scans():
+    for n in (2, 3, 4):
+        for m in range(11):
+            for lam in partitions_of(m):
+                step, variants = wedge._node_row(lam, n)
+                assert step == _f_step_by_rim_scan(lam, n) == wedge._f_step(lam, n)
+                assert variants == [partitions.add_node_variants(lam, i, n) for i in range(n)]
+
+
+def _count_rim_scans(monkeypatch) -> list:
+    scans = []
+    real = partitions.rim_nodes
+
+    def counted(p, n):
+        scans.append(p)
+        return real(p, n)
+
+    monkeypatch.setattr(partitions, "rim_nodes", counted)
+    monkeypatch.setattr(wedge, "rim_nodes", counted)
+    return scans
+
+
+def test_cold_a_matrix_scans_each_rim_once(monkeypatch):
+    scans = _count_rim_scans(monkeypatch)
+    wedge.clear_caches()
+    try:
+        canonical.a_matrix(3, 10)
+    finally:
+        wedge.clear_caches()
+    assert len(scans) == 139 == sum(1 for m in range(11) for _ in partitions_of(m))
+    assert len(set(scans)) == 139
+
+
+def test_node_table_lives_for_one_build(monkeypatch):
+    tables = []
+
+    class Recorded(wedge._NodeTable):
+        def __init__(self, n):
+            super().__init__(n)
+            tables.append(weakref.ref(self))
+
+    monkeypatch.setattr(wedge, "_NodeTable", Recorded)
+    scans = _count_rim_scans(monkeypatch)
+    wedge.clear_caches()
+    try:
+        canonical.a_matrix(2, 6)
+        wedge.bar_basis((7,), 2)
+        gc.collect()
+        assert len(tables) == 2 and all(table() is None for table in tables)
+        # no row outlives its build: cold again, every rim is scanned again
+        first = len(scans)
+        wedge.clear_caches()
+        canonical.a_matrix(2, 6)
+        wedge.bar_basis((7,), 2)
+        assert len(scans) == 2 * first
+    finally:
+        wedge.clear_caches()
+
+
+def test_warm_bar_basis_does_not_enter_the_build(monkeypatch):
+    wedge.clear_caches()
+    try:
+        a = canonical.a_matrix(2, 4)
+
+        def entered(targets, n):
+            raise AssertionError("a warm hit entered the build")
+
+        monkeypatch.setattr(wedge, "_build", entered)
+        for mu in a.order:
+            assert wedge.bar_basis(mu, 2) == a.column(mu).terms
+        assert canonical.a_matrix(2, 4) == a
+        with pytest.raises(AssertionError, match="entered the build"):
+            wedge.bar_basis((5,), 2)
+    finally:
+        wedge.clear_caches()
+
+
 @pytest.mark.parametrize("name", ["shifted", "negated"])
 def test_broken_f_step_is_caught(monkeypatch, name):
-    real = wedge.add_node_variants
+    real = wedge._node_row
 
-    def broken(p, i, n):
-        return [
-            (mu, n_r + 1 if name == "shifted" else -n_r)
-            for mu, n_r in real(p, i, n)
+    def broken(lam, n):
+        step, variants = real(lam, n)
+        return step, [
+            [(mu, n_r + 1 if name == "shifted" else -n_r) for mu, n_r in row]
+            for row in variants
         ]
 
-    monkeypatch.setattr(wedge, "add_node_variants", broken)
+    monkeypatch.setattr(wedge, "_node_row", broken)
     if name == "shifted":
         # N_i^r + 1 breaks the unit diagonal, which the recursion checks
         with pytest.raises(AssertionError, match=r"bar\|\("):
