@@ -52,9 +52,12 @@ _OFF_DIAGONAL_RING = {"D": LaurentPoly.in_positive_ring, "E": LaurentPoly.in_neg
 def matrix_from_doc(doc: dict) -> TransitionMatrix:
     if doc.get("schema") != SCHEMA:
         raise SchemaMismatchError(f"unexpected schema {doc.get('schema')!r}")
-    kind, n, m = doc["kind"], int(doc["n"]), int(doc["m"])
+    kind, n, m = doc["kind"], doc["n"], doc["m"]
+    if type(n) is not int or type(m) is not int:
+        raise SchemaMismatchError(f"n and m must be integers: {n!r}, {m!r}")
     order = tuple(tuple(p) for p in doc["order"])
-    if order != revlex_order(m):
+    # 1.0 == True == 1: only the ints that matrix_to_doc writes are read
+    if order != revlex_order(m) or any(type(x) is not int for p in order for x in p):
         raise SchemaMismatchError("order is not the revlex partition list")
     core = {p: c for c, members in blocks(n, m).items() for p in members}
     in_ring = _OFF_DIAGONAL_RING.get(kind, bool)  # A and C: any nonzero entry
@@ -64,7 +67,7 @@ def matrix_from_doc(doc: dict) -> TransitionMatrix:
     for ri, ci, poly in doc["entries"]:
         value = LaurentPoly.from_json(poly)
         key = (ri, ci)
-        if key <= last or ci < 0 or not value:
+        if type(ri) is not int or type(ci) is not int or key <= last or ci < 0 or not value:
             raise SchemaMismatchError(f"entry {list(key)} is zero or out of order")
         last = key
         row, col = order[ri], order[ci]

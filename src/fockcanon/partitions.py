@@ -10,7 +10,10 @@ removable nodes, top row first.  Along that list the nodes of one residue i
 stand in strictly decreasing columns, so for an i-node b, N_i^r (addable
 minus removable i-nodes right of b) is the signed count of the i-nodes
 before b and N_i^l (left of b) that of the i-nodes after it.  f_i adds b
-with weight q^{N_i^r}, e_i removes it with q^{-N_i^l}.
+with weight q^{N_i^r}, e_i removes it with q^{-N_i^l}.  f_i is read from
+``node_row``, the memoized row of a partition: its f_i for every residue
+and its f-step, which ``fock.f_action`` and the bar images of the wedge
+module both read.  e_i scans the rim on each call.
 
 Horizontal n-ribbon strips are bead moves on the Littlewood abacus.  A strip
 of weight k is k steps, each moving a bead one place up its runner to a free
@@ -163,17 +166,34 @@ def node_counts(p: Partition, n: int) -> NodeCounts:
     return NodeCounts(tuple(indent), tuple(removable), diff, zero)
 
 
+@lru_cache(maxsize=None)
+def node_row(p: Partition, n: int) -> tuple:
+    """The f_i row of p, from one rim_nodes scan: (f-step, variants).
+
+    variants[i] lists (mu, N_i^r) for each addable i-node b of p, mu = p + b,
+    top row first.  The f-step is (i, mu) with p = mu + b for the first
+    removable node b whose residue i has no addable node of p in a row above
+    it, or None when there is no such node: f_i|mu> is then q^e|p> plus
+    lex-smaller terms (see wedge).  Rows are memoized until
+    wedge.clear_caches and hold only tuples, so no caller can change one.
+    """
+    variants: list[tuple[tuple[Partition, int], ...]] = [()] * n
+    counts = [0] * n
+    step = None
+    padded = p + (0,)
+    for sign, r, i in rim_nodes(p, n):
+        if sign > 0:
+            variants[i] += ((padded[:r] + (padded[r] + 1,) + p[r + 1 :], counts[i]),)
+        elif step is None and not variants[i]:
+            step = i, remove_node(p, r)
+        counts[i] += sign
+    return step, tuple(variants)
+
+
 def add_node_variants(p: Partition, i: int, n: int) -> list[tuple[Partition, int]]:
     """All (mu, N_i^r) with mu/p a single i-node b: N_i^r is the number of
-    addable minus removable i-nodes of p to the right of b."""
-    out, count = [], 0
-    padded = p + (0,)
-    for sign, r, res in rim_nodes(p, n):
-        if res == i:
-            if sign > 0:
-                out.append((padded[:r] + (padded[r] + 1,) + p[r + 1 :], count))
-            count += sign
-    return out
+    addable minus removable i-nodes of p to the right of b (see node_row)."""
+    return list(node_row(p, n)[1][i]) if 0 <= i < n else []
 
 
 def remove_node_variants(p: Partition, i: int, n: int) -> list[tuple[Partition, int]]:

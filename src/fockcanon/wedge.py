@@ -28,11 +28,11 @@ with it resolves at call time.
 
 Images are built in runs (``_build``): ``bar_basis`` starts one for a single
 missing image, ``bar_degree`` one for every missing image of a degree, which
-is how the A matrix and the canonical bases ask for them.  A run owns a node
-table: the row of a partition, read from one rim scan, holds its f-step and
-its f_i for every residue i.  The f-steps read the rows of the terms of the
-images they lift, so in a run each partition's rim is scanned once.  The
-table is dropped when the run returns; only the images are kept.
+is how the A matrix and the canonical bases ask for them.  The f-steps read
+``partitions.node_row``, the memoized row of a partition that holds its
+f-step and its f_i for every residue i, for the partitions they reach and
+for the terms of the images they lift, so each partition's rim is scanned
+once until ``clear_caches``; ``fock.f_action`` reads the same rows.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ from .laurent import ONE, LaurentPoly, add_product, collect
 from .partitions import (
     NotApplicableError,
     Partition,
-    remove_node,
+    node_row,
     revlex_order,
-    rim_nodes,
     steinberg_decompose,
 )
 
@@ -107,8 +106,10 @@ _bar_images: dict[tuple[int, Partition], dict[Partition, LaurentPoly]] = {}
 
 
 def clear_caches() -> None:
+    """Drop the straightening memo, the bar images and the node rows."""
     _straighten_cache.clear()
     _bar_images.clear()
+    node_row.cache_clear()
 
 
 def _straighten_minimal(w: Word, n: int) -> tuple:
@@ -187,48 +188,6 @@ def b_action_words(k: int, wv: dict, n: int) -> dict:
     return collect(sums)
 
 
-def _node_row(lam: Partition, n: int) -> tuple:
-    """The row of lam in a node table, from one rim_nodes scan: (f-step,
-    variants), where variants[i] is add_node_variants(lam, i, n).
-
-    The f-step is (i, mu) with lam = mu + b for the first removable node b
-    in rim order whose residue i has no addable node of lam before b (in a
-    row above it), or None when there is no such node.
-    """
-    variants: list[list[tuple[Partition, int]]] = [[] for _ in range(n)]
-    counts = [0] * n
-    step = None
-    padded = lam + (0,)
-    for sign, r, i in rim_nodes(lam, n):
-        if sign > 0:
-            variants[i].append((padded[:r] + (padded[r] + 1,) + lam[r + 1 :], counts[i]))
-        elif step is None and not variants[i]:
-            step = i, remove_node(lam, r)
-        counts[i] += sign
-    return step, variants
-
-
-class _NodeTable(dict):
-    """partition -> its row (see _node_row), scanned on first lookup.  One
-    build owns the table and drops it when it returns."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, lam: Partition) -> tuple:
-        row = self[lam] = _node_row(lam, self.n)
-        return row
-
-
-def _f_step(
-    lam: Partition, n: int, rows: _NodeTable | None = None
-) -> tuple[int, Partition] | None:
-    """The f-step (i, mu) of lam, or None (see _node_row): read from its row
-    in the node table of a build, or from a scan of its own outside one."""
-    return (_node_row(lam, n) if rows is None else rows[lam])[0]
-
-
 def _unitriangular(lam: Partition, col: dict, how: str) -> dict:
     """col, after checking that it is |lam> plus lex-smaller terms (within a
     degree, revlex order is descending tuple order)."""
@@ -237,22 +196,22 @@ def _unitriangular(lam: Partition, col: dict, how: str) -> dict:
     return col
 
 
-def _f_column(
-    lam: Partition, n: int, i: int, mu: Partition, e: int, others: dict, rows: _NodeTable
-) -> dict[Partition, LaurentPoly]:
+def _f_column(lam: Partition, n: int, i: int, mu: Partition) -> dict[Partition, LaurentPoly]:
     """bar|lam> = q^e (f_i bar|mu> - sum_a q^{-e_a} bar|lam-b+a>).
 
-    lam = mu + b as in _f_step, and f_i|mu> = q^e|lam> + sum_a q^{e_a}|lam-b+a>
-    over the addable i-nodes a of lam (``others`` maps lam-b+a to e_a); all of
-    them lie below b, so every lam-b+a is lex-smaller than lam.  f_i on each
-    term nu of bar|mu> reads the row of nu in the build's node table, and
-    each coefficient is added as a copy shifted by its power of q.  Every
-    image used must already be in _bar_images.
+    lam = mu + b for the f-step (i, mu) of lam (see partitions.node_row), and
+    f_i|mu> = q^e|lam> + sum_a q^{e_a}|lam-b+a> over the addable i-nodes a of
+    lam; all of them lie below b, so every lam-b+a is lex-smaller than lam.
+    f_i on each term nu of bar|mu> reads the row of nu, and each coefficient
+    is added as a copy shifted by its power of q.  Every image used must
+    already be in _bar_images.
     """
+    others = dict(node_row(mu, n)[1][i])
+    e = others.pop(lam)
     sums: dict[Partition, dict[int, int]] = {}
     for nu, c in _bar_images[(n, mu)].items():
         pairs = c.terms()
-        for target, e_nu in rows[nu][1][i]:
+        for target, e_nu in node_row(nu, n)[1][i]:
             acc = sums.setdefault(target, {})
             s = e + e_nu
             for j, x in pairs:
@@ -338,7 +297,8 @@ def bar_basis(p: Partition, n: int) -> dict[Partition, LaurentPoly]:
     Each image comes by the first of three routes that applies; the images a
     route needs, one degree lower or lex-smaller in the same degree, are
     built first:
-      f-step: bar(f_i v) = f_i bar(v) when _f_step reaches lam (_f_column);
+      f-step: bar(f_i v) = f_i bar(v) when the row of lam
+        (partitions.node_row) has an f-step (_f_column);
       S-step: bar(S_alpha v) = S_alpha bar(v) when lam' is n-singular, so
         that lam = mu + n*alpha (_s_column);
       row step: for the rest, the n-restricted partitions no f_i step
@@ -346,8 +306,7 @@ def bar_basis(p: Partition, n: int) -> dict[Partition, LaurentPoly]:
         from bar|lam[1:]> by straightening each of its words, shifted by -1,
         with lam_1 appended (_row_column).
     A stored image is copied out at once.  A missing one is built in a run of
-    its own (_build), whose node table of rows lives until the run returns;
-    bar_degree builds a whole degree in one run.
+    its own (_build); bar_degree builds a whole degree in one run.
     """
     image = _bar_images.get((n, p))
     if image is None:
@@ -369,10 +328,9 @@ def bar_degree(m: int, n: int) -> dict[Partition, dict[Partition, LaurentPoly]]:
 
 def _build(targets, n: int) -> None:
     """Build the bar images of targets, and every image they need, into
-    _bar_images by the routes of bar_basis, on an explicit stack.  The run
-    owns one node table, so each rim it reads is scanned once; the table is
-    dropped on return."""
-    rows = _NodeTable(n)
+    _bar_images by the routes of bar_basis, on an explicit stack.  A build
+    waits, in planned, until the images it needs are built; for an f-step
+    these are bar|mu> and every bar|lam-b+a> (see _f_column)."""
     pending = list(targets)
     planned: dict[Partition, partial] = {}  # builds waiting for the images they need
     while pending:
@@ -382,12 +340,10 @@ def _build(targets, n: int) -> None:
             continue
         build = planned.pop(lam, None)
         if build is None:
-            f_step = _f_step(lam, n, rows)
-            if f_step is not None:
+            if (f_step := node_row(lam, n)[0]) is not None:
                 i, mu = f_step
-                others = dict(rows[mu][1][i])
-                e = others.pop(lam)
-                needs, build = (mu, *others), partial(_f_column, lam, n, i, mu, e, others, rows)
+                needs = (mu, *dict(node_row(mu, n)[1][i]))
+                build = partial(_f_column, lam, n, i, mu)
             elif (s_step := _s_step(lam, n)) is not None:
                 alpha, mu, top = s_step
                 needs, build = (mu, *top), partial(_s_column, lam, n, alpha, mu, top)

@@ -343,6 +343,12 @@ def _edit_entries(text, edit):
     return json.dumps(doc)
 
 
+def _edit_doc(text, **fields):
+    doc = json.loads(text)
+    doc.update(fields)
+    return json.dumps(doc)
+
+
 def _insert_entry(entry):
     return lambda entries: sorted(entries + [entry], key=lambda e: e[:2])
 
@@ -376,11 +382,19 @@ def _set_entry(index, poly):
         (4, lambda text: _edit_entries(text, _set_entry([1, 0], {"min": 1, "c": ["+1"]}))),
         (4, lambda text: _edit_entries(text, _set_entry([1, 0], {"min": 1, "c": ["01"]}))),
         (4, lambda text: _edit_entries(text, _set_entry([1, 0], {"min": 1, "c": ["1", "-0"]}))),
+        # values that equal the ints matrix_to_doc writes: False == 0, 1.0 == True == 1
+        (4, lambda text: _edit_entries(
+            text, lambda e: [[False, False, p] if [r, c] == [0, 0] else [r, c, p] for r, c, p in e]
+        )),
+        (4, lambda text: _edit_doc(text, order=[[4], [3, True], [2, 2], [2, 1, 1], [1, 1, 1, 1]])),
+        (4, lambda text: _edit_doc(text, order=[[4], [3, 1.0], [2, 2], [2, 1, 1], [1, 1, 1, 1]])),
+        (4, lambda text: _edit_doc(text, n=2.0)),
+        (4, lambda text: _edit_doc(text, m=4.0)),
     ],
     ids=["truncated", "not-a-document", "not-utf8", "deep", "zero-poly", "zero-window",
          "repeated-pair", "negative-index", "ring", "diagonal", "cross-block",
          "underscore-coefficient", "non-ascii-digit", "plus-sign", "leading-zero",
-         "negative-zero"],
+         "negative-zero", "bool-index", "bool-part", "float-part", "float-n", "float-m"],
 )
 def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, m, damage):
     cache = str(tmp_path / "cache")

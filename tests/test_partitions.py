@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from fockcanon import partitions as pt, wedge
+from fockcanon import partitions as pt
 
 
 # -- conjugation and orders ----------------------------------------------------
@@ -86,6 +86,7 @@ def test_add_node_variants_examples():
     assert pt.add_node_variants((1,), 1, 2) == [((2,), 0), ((1, 1), 1)]
     assert pt.add_node_variants((1,), 0, 2) == []
     assert pt.add_node_variants((), 0, 2) == [((1,), 0)]
+    assert pt.add_node_variants((1,), 2, 2) == [] == pt.add_node_variants((1,), -1, 2)
 
 
 def _addable_cells(p):
@@ -172,7 +173,7 @@ def test_f_step_matches_cell_oracle():
     for m in range(10):
         for lam in pt.partitions_of(m):
             for n in (2, 3, 4):
-                assert wedge._f_step(lam, n) == _oracle_f_step(lam, n)
+                assert pt.node_row(lam, n)[0] == _oracle_f_step(lam, n)
 
 
 def test_remove_node_variants_inverse_of_add():

@@ -1,16 +1,15 @@
-import gc
 import sys
-import weakref
 from collections import Counter
 from itertools import product
 from random import Random
 
 import pytest
 
-from fockcanon import canonical, partitions, wedge
+from fockcanon import canonical, fock, partitions, wedge
 from fockcanon.wedge import _kernel
 from fockcanon.laurent import LaurentPoly
-from fockcanon.partitions import conjugate, is_n_regular, partitions_of
+from fockcanon.partitions import conjugate, is_n_regular, node_row, partitions_of
+from test_partitions import _oracle_variants
 
 P = LaurentPoly.from_terms
 Q = LaurentPoly.monomial
@@ -233,11 +232,11 @@ def test_bar_recursion_matches_straightening():
 
 
 def test_f_step_fallback_partitions():
-    fallback = [lam for lam in partitions_of(4) if wedge._f_step(lam, 2) is None]
+    fallback = [lam for lam in partitions_of(4) if node_row(lam, 2)[0] is None]
     assert fallback == [(2, 2), (1, 1, 1, 1)]
-    assert wedge._f_step((6, 6), 2) is None
-    assert wedge._f_step((3, 3, 3, 1), 3) is None
-    assert wedge._f_step((2, 1), 2) == (1, (1, 1))
+    assert node_row((6, 6), 2)[0] is None
+    assert node_row((3, 3, 3, 1), 3)[0] is None
+    assert node_row((2, 1), 2)[0] == (1, (1, 1))
 
 
 def _f_step_by_rim_scan(lam, n: int):
@@ -257,9 +256,9 @@ def test_node_rows_match_rim_scans():
     for n in (2, 3, 4):
         for m in range(11):
             for lam in partitions_of(m):
-                step, variants = wedge._node_row(lam, n)
-                assert step == _f_step_by_rim_scan(lam, n) == wedge._f_step(lam, n)
-                assert variants == [partitions.add_node_variants(lam, i, n) for i in range(n)]
+                step, variants = node_row(lam, n)
+                assert step == _f_step_by_rim_scan(lam, n)
+                assert variants == tuple(tuple(_oracle_variants(lam, i, n)[0]) for i in range(n))
 
 
 def _count_rim_scans(monkeypatch) -> list:
@@ -271,7 +270,6 @@ def _count_rim_scans(monkeypatch) -> list:
         return real(p, n)
 
     monkeypatch.setattr(partitions, "rim_nodes", counted)
-    monkeypatch.setattr(wedge, "rim_nodes", counted)
     return scans
 
 
@@ -286,28 +284,46 @@ def test_cold_a_matrix_scans_each_rim_once(monkeypatch):
     assert len(set(scans)) == 139
 
 
-def test_node_table_lives_for_one_build(monkeypatch):
-    tables = []
-
-    class Recorded(wedge._NodeTable):
-        def __init__(self, n):
-            super().__init__(n)
-            tables.append(weakref.ref(self))
-
-    monkeypatch.setattr(wedge, "_NodeTable", Recorded)
+def test_node_rows_live_until_clear_caches(monkeypatch):
     scans = _count_rim_scans(monkeypatch)
     wedge.clear_caches()
     try:
         canonical.a_matrix(2, 6)
-        wedge.bar_basis((7,), 2)
-        gc.collect()
-        assert len(tables) == 2 and all(table() is None for table in tables)
-        # no row outlives its build: cold again, every rim is scanned again
-        first = len(scans)
+        first = list(scans)
+        # warm: the images up to degree 6 and their rows are kept, so only
+        # the partitions of degree 7 are scanned, each once
+        canonical.a_matrix(2, 7)
+        assert sorted(scans[len(first) :]) == sorted(partitions_of(7))
+        # cold again: every rim is scanned again
+        both = list(scans)
         wedge.clear_caches()
+        canonical.a_matrix(2, 7)
+        assert sorted(scans[len(both) :]) == sorted(both)
+    finally:
+        wedge.clear_caches()
+
+
+def test_f_action_and_the_f_step_read_one_memo(monkeypatch):
+    scans = _count_rim_scans(monkeypatch)
+    wedge.clear_caches()
+    try:
         canonical.a_matrix(2, 6)
-        wedge.bar_basis((7,), 2)
-        assert len(scans) == 2 * first
+        cold = len(scans)
+        for m in range(6):
+            for lam in partitions_of(m):
+                for i in range(2):
+                    assert fock.f_action(i, fock.FockVector.basis(lam), 2) == fock.FockVector(
+                        {mu: Q(1, n_r) for mu, n_r in _oracle_variants(lam, i, 2)[0]}
+                    )
+        assert len(scans) == cold
+        # a row cannot be changed in place, at any level
+        row = node_row((2, 1), 2)
+        want = ((1, (1, 1)), ((((3, 1), 0), ((2, 2), 1), ((2, 1, 1), 2)), ()))
+        assert row == want
+        for part in (row, row[1], row[1][0], row[1][0][0]):
+            with pytest.raises(TypeError):
+                part[0] = None
+        assert node_row((2, 1), 2) == want
     finally:
         wedge.clear_caches()
 
@@ -332,7 +348,7 @@ def test_warm_bar_basis_does_not_enter_the_build(monkeypatch):
 
 @pytest.mark.parametrize("name", ["shifted", "negated"])
 def test_broken_f_step_is_caught(monkeypatch, name):
-    real = wedge._node_row
+    real = wedge.node_row
 
     def broken(lam, n):
         step, variants = real(lam, n)
@@ -341,7 +357,8 @@ def test_broken_f_step_is_caught(monkeypatch, name):
             for row in variants
         ]
 
-    monkeypatch.setattr(wedge, "_node_row", broken)
+    broken.cache_clear = real.cache_clear  # so that clear_caches still runs
+    monkeypatch.setattr(wedge, "node_row", broken)
     if name == "shifted":
         # N_i^r + 1 breaks the unit diagonal, which the recursion checks
         with pytest.raises(AssertionError, match=r"bar\|\("):
@@ -435,7 +452,7 @@ def test_only_case_b_partitions_are_straightened(monkeypatch):
         lam
         for m in range(1, 9)
         for lam in partitions_of(m)
-        if wedge._f_step(lam, 2) is None and is_n_regular(conjugate(lam), 2)
+        if node_row(lam, 2)[0] is None and is_n_regular(conjugate(lam), 2)
     ]
     assert len(case_b) == 8
     assert sorted(rows) == sorted(case_b)
