@@ -255,21 +255,45 @@ def v_op_via_heisenberg(k: int, v: FockVector, n: int) -> FockVector:
 
 
 def s_alpha(alpha: Partition, v: FockVector, n: int) -> FockVector:
-    """Ribbon analogue of multiplication by the Schur function s_alpha,
-    via the inverse Kostka expansion s_alpha = sum kappa_mu h_mu, applying
-    V_{mu_l} first.  Every link of a chain stays a sparse sum; the total is
-    collected once."""
-    start = _sparse(v)
-    sums: dict = {}
-    for mu, kappa in symfunc.schur_to_h(tuple(alpha)).items():
-        term = start
-        for part in reversed(mu):
-            term = _strip_sums(ribbon_strips_above, True, part, term, n)
-        for p, c in term.items():
-            acc = sums.setdefault(p, {})
-            for e, a in c.items():
-                acc[e] = acc.get(e, 0) + kappa * a
-    return FockVector(collect(sums))
+    """Ribbon analogue of multiplication by the Schur function s_alpha: the
+    Jacobi-Trudi determinant det(V_{alpha_i - i + j}) applied to v.
+
+    alpha must be a partition.  The determinant is expanded along its first
+    column, recursively.  The V_k commute, so the minor on a row set R, taken
+    with the last |R| columns, is one sparse vector; each is computed once per
+    call and kept by R.  Down a column alpha_i - i + j falls, so its first
+    negative entry (zero in the determinant) ends the scan.  V_0 is the
+    identity and walks no strips.  The first entry of a column is at least
+    its part of alpha, so it walks strips, and the other terms are added into
+    that fresh sum: a kept minor is never written to.  Partitions whose
+    coefficients cancel are dropped from each minor, so no strip walk starts
+    from them."""
+    ell = len(alpha)
+    minors: dict = {(): _sparse(v)}
+
+    def minor(rows: tuple) -> dict:
+        if rows in minors:
+            return minors[rows]
+        col = ell - len(rows)
+        for k, r in enumerate(rows):
+            d = alpha[r] - r + col
+            if d < 0:
+                break
+            term = minor(rows[:k] + rows[k + 1:])
+            if d:
+                term = _strip_sums(ribbon_strips_above, True, d, term, n)
+            if not k:
+                out = term
+                continue
+            sign = -1 if k % 2 else 1
+            for p, c in term.items():
+                acc = out.setdefault(p, {})
+                for e, a in c.items():
+                    acc[e] = acc.get(e, 0) + sign * a
+        minors[rows] = out = {p: c for p, c in out.items() if any(c.values())}
+        return out
+
+    return FockVector(collect(minor(tuple(range(ell)))))
 
 
 def s_alpha_via_characters(alpha: Partition, v: FockVector, n: int) -> FockVector:

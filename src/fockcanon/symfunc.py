@@ -1,14 +1,11 @@
-"""Symmetric-group characters and the inverse Kostka expansion.
-
-Only the pieces needed by the plethysm-style operators on the Fock space:
-Murnaghan-Nakayama character values, centralizer orders, and the expansion of
-a Schur function in the complete homogeneous basis (Jacobi-Trudi).
+"""Symmetric-group characters: Murnaghan-Nakayama character values and
+centralizer orders, the weights of the power-sum expansions that the Fock
+space's oracles (``v_op_via_heisenberg``, ``s_alpha_via_characters``) apply.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 from math import factorial
 
 from .partitions import (
@@ -59,48 +56,3 @@ def mn_character(alpha: Partition, beta: Partition) -> int:
     # Largest cycles first keeps the recursion shallow.
     return _mn(alpha, tuple(sorted(beta, reverse=True)))
 
-
-@lru_cache(maxsize=None)
-def schur_to_h(alpha: Partition) -> dict[Partition, int]:
-    """Coefficients kappa with s_alpha = sum_mu kappa_mu h_mu.
-
-    Computed from the Jacobi-Trudi determinant det(h_{alpha_i - i + j}) by
-    expanding over permutations; these are the inverse Kostka numbers.
-    """
-    ell = len(alpha)
-    if ell == 0:
-        return {(): 1}
-    out: dict[Partition, int] = {}
-    for sigma in permutations(range(ell)):
-        degrees = []
-        ok = True
-        for i in range(ell):
-            d = alpha[i] - i + sigma[i]
-            if d < 0:
-                ok = False
-                break
-            if d > 0:
-                degrees.append(d)
-        if not ok:
-            continue
-        sign = _perm_sign(sigma)
-        mu = tuple(sorted(degrees, reverse=True))
-        out[mu] = out.get(mu, 0) + sign
-    return {mu: c for mu, c in out.items() if c}
-
-
-def _perm_sign(sigma) -> int:
-    sign = 1
-    seen = [False] * len(sigma)
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign

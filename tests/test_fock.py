@@ -123,14 +123,34 @@ def test_s_alpha_examples():
 
 
 def test_s_alpha_character_oracle():
-    for n in (2, 3):
-        for r in range(4):
+    # (n, largest |alpha|, degrees of the basis vectors): every alpha up to
+    # degree 6 at n=2; |alpha| = 6 at n=3 alone would take seconds
+    cases = ((2, 6, (0, 1)), (3, 5, (0,)), (2, 3, (2,)), (3, 3, (1, 2)))
+    for n, top, degrees in cases:
+        for r in range(top + 1):
             for alpha in partitions_of(r):
-                for m in (0, 1, 2):
+                for m in degrees:
                     for lam in partitions_of(m):
                         v = basis(lam)
                         assert fock.s_alpha(alpha, v, n) == \
                             fock.s_alpha_via_characters(alpha, v, n)
+
+
+def test_s_alpha_keeps_each_minor(monkeypatch):
+    # det(V_{1-i+j}) of size l has l(l+1)/2 minors that need a strip walk;
+    # applying each h-chain of the inverse Kostka expansion walks 192 times
+    walks = []
+    real = fock._strip_sums
+
+    def counting(*args):
+        walks.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(fock, "_strip_sums", counting)
+    ell = 10
+    out = fock.s_alpha((1,) * ell, basis(()), 2)
+    assert out and len(walks) <= ell * (ell + 1) // 2
+    assert 0 not in walks
 
 
 def test_character_oracle_fails_loudly_on_wrong_characters(monkeypatch):

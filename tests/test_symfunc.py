@@ -3,7 +3,9 @@ from math import factorial
 
 import pytest
 
-from fockcanon import symfunc
+from fockcanon import fock, symfunc
+from fockcanon.fock import FockVector
+from fockcanon.laurent import LaurentPoly
 from fockcanon.partitions import SizeMismatchError, conjugate, diagram, partitions_of
 
 
@@ -74,12 +76,6 @@ def test_column_orthogonality():
                 assert s == (1 if a == g else 0)
 
 
-def test_schur_to_h_examples():
-    assert symfunc.schur_to_h((1,)) == {(1,): 1}
-    assert symfunc.schur_to_h((1, 1)) == {(1, 1): 1, (2,): -1}
-    assert symfunc.schur_to_h((2, 1)) == {(2, 1): 1, (3,): -1}
-
-
 def _ssyt_count(shape, content):
     """Number of semistandard tableaux of the given shape and content."""
     cells = sorted(diagram(shape), key=lambda rc: (rc[0], rc[1]))
@@ -108,16 +104,22 @@ def _ssyt_count(shape, content):
     return rec(0, {}, list(content))
 
 
-def test_inverse_kostka_round_trip():
-    # sum_mu kappa_{alpha mu} K_{lam mu} = delta_{alpha lam}, with the
-    # Kostka numbers counted directly from semistandard tableaux
-    for r in range(0, 7):
-        parts = list(partitions_of(r))
-        for alpha in parts:
-            kappa = symfunc.schur_to_h(alpha)
-            for lam in parts:
-                total = sum(
-                    kappa.get(mu, 0) * _ssyt_count(lam, mu + (0,) * (len(lam)))
-                    for mu in parts
-                )
-                assert total == (1 if lam == alpha else 0)
+def test_kostka_round_trip_on_fock_space():
+    # h_mu = sum_lam K_{lam mu} s_lam, realized on the Fock space as
+    # V_{mu_1} ... V_{mu_l} v = sum_lam K_{lam mu} S_lam v, with the Kostka
+    # numbers counted from semistandard tableaux: a check of the determinant
+    # in fock.s_alpha that uses neither characters nor permutations
+    for n in (2, 3):
+        for v in (FockVector.basis(()), FockVector.basis((1,))):
+            for r in range(7):
+                s_images = {lam: fock.s_alpha(lam, v, n) for lam in partitions_of(r)}
+                for mu in partitions_of(r):
+                    h_image = v
+                    for part in mu:
+                        h_image = fock.v_op(part, h_image, n)
+                    total = FockVector()
+                    for lam, image in s_images.items():
+                        kostka = _ssyt_count(lam, mu)
+                        if kostka:
+                            total = total + image.scale(LaurentPoly.monomial(kostka))
+                    assert total == h_image, (n, v, mu)
