@@ -9,6 +9,10 @@ entries nu already solved is a bar-antisymmetric polynomial whose qZ[q] half
 is the next entry of the upper basis G, and whose q^-1 Z[q^-1] half is that
 of the lower basis G^-.  The same walk over the columns of D, pushing x[nu]
 unchanged and taking the negated sum, is forward substitution for C = D^-1.
+The sums stay sparse {exponent: int} dicts: the product loop is
+``laurent.add_column``, which adds a whole column times x into them, each
+half is read off its sum by ``laurent.antisym_split``, and a solved entry
+becomes a LaurentPoly once.
 
 Matrix kinds and orientations:
   A: bar images,      column mu = bar|mu>
@@ -21,11 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import neg
 
 from . import fock, wedge
 from .fock import FockVector
-from .laurent import ONE, ZERO, LaurentPoly, add_product, antisym_split, collect
+from .laurent import ONE, ZERO, LaurentPoly, add_column, add_product, antisym_split, collect
 from .partitions import (  # NotApplicableError: re-exported with steinberg_decompose
     NotApplicableError,
     Partition,
@@ -120,35 +123,37 @@ def _block_walk(n: int, m: int, column, push, settle):
     given the columns column(nu) = {lam: a[lam, nu]} of a unitriangular a.
     Returns the entries of x keyed (row, column).
 
-    For the column of mu, acc[lam] sums a[lam, nu] push(x[nu]) over the
-    entries x[nu] solved so far, in place as {exponent: int}, and
-    x[lam] = settle(acc[lam]) unless that sum is zero.  An entry of a above
-    its diagonal or across two blocks leaves a nonzero sum in acc at the end
+    Each block's columns are flattened once into (row, pairs) lists without
+    the diagonal.  For the column of mu, sums[lam] adds up a[lam, nu]
+    push(x[nu]) over the entries x[nu] solved so far, in place as
+    {exponent: int}.  The pairs of x[lam] are settle(sums[lam]); a row whose
+    sum is untouched or settles to no pairs gets no entry.  An entry of a
+    above its diagonal or across two blocks leaves a nonzero sum at the end
     of the block, which raises AssertionError.
     """
     entries: dict[tuple[Partition, Partition], LaurentPoly] = {}
     for block in blocks(n, m).values():
-        columns = {nu: column(nu) for nu in block}
+        below = {
+            nu: [(lam, a.terms()) for lam, a in column(nu).items() if lam != nu]
+            for nu in block
+        }
         for i, mu in enumerate(block):
-            acc: dict[Partition, dict[int, int]] = {}
-            for lam in block[i:]:
-                if lam == mu:
-                    x = ONE
-                else:
-                    total = LaurentPoly.from_terms(acc.pop(lam, {}))
-                    if not total:
-                        continue
-                    x = settle(total)
-                entries[(lam, mu)] = x
-                px = push(x)
-                for nu, a in columns[lam].items():
-                    if nu != lam:
-                        add_product(acc.setdefault(nu, {}), a, px)
-            leftover = collect(acc)
+            entries[(mu, mu)] = ONE
+            sums: dict[Partition, dict[int, int]] = {}
+            add_column(sums, below[mu], push(ONE.terms()))
+            for lam in block[i + 1 :]:
+                acc = sums.pop(lam, None)
+                if acc is None:
+                    continue
+                x = settle(acc)
+                if x:
+                    entries[(lam, mu)] = LaurentPoly(x)
+                    add_column(sums, below[lam], push(x))
+            leftover = sorted(nu for nu, acc in sums.items() if any(acc.values()))
             if leftover:
                 raise AssertionError(
                     f"columns of the {n}-core block of {mu} are not "
-                    f"unitriangular: {sorted(leftover)} left over"
+                    f"unitriangular: {leftover} left over"
                 )
     return entries
 
@@ -158,15 +163,15 @@ def _canonical_basis(
 ) -> dict[tuple[Partition, Partition], LaurentPoly]:
     """Entries of D (lower=False) or E (lower=True), keyed (row, column).
 
-    The walk runs over the bar images, where by bar-invariance acc[lam] equals
-    x[lam] - bar(x[lam]); x[lam] is its qZ[q] (D) or q^-1 Z[q^-1] (E) half.
+    The walk runs over the bar images, where by bar-invariance sums[lam]
+    equals x[lam] - bar(x[lam]); x[lam] is its qZ[q] (D) or q^-1 Z[q^-1] (E)
+    half, read off the sum by ``antisym_split``, and bar(x[lam]) is pushed.
     """
     sign = -1 if lower else 1
     entries = _block_walk(
-        n, m, wedge.bar_degree(m, n).__getitem__, LaurentPoly.bar,
-        lambda acc: LaurentPoly.from_terms(
-            {sign * j: sign * r for j, r in antisym_split(acc).items()}
-        ),
+        n, m, wedge.bar_degree(m, n).__getitem__,
+        lambda x: [(-e, c) for e, c in x],
+        lambda acc: tuple(sorted([(sign * j, sign * r) for j, r in antisym_split(acc).items()])),
     )
     return {(mu, lam): x for (lam, mu), x in entries.items()} if lower else entries
 
@@ -190,7 +195,10 @@ def adjoint_matrix(d: TransitionMatrix) -> TransitionMatrix:
     columns: dict[Partition, dict[Partition, LaurentPoly]] = {}
     for (lam, nu), a in d.entries.items():
         columns.setdefault(nu, {})[lam] = a
-    entries = _block_walk(d.n, d.m, lambda nu: columns.get(nu, {}), lambda x: x, neg)
+    entries = _block_walk(
+        d.n, d.m, lambda nu: columns.get(nu, {}), lambda x: x,
+        lambda acc: tuple(sorted([(e, -c) for e, c in acc.items() if c])),
+    )
     return TransitionMatrix("C", d.n, d.m, entries)
 
 
@@ -198,8 +206,9 @@ def check_duality(e: TransitionMatrix, c: TransitionMatrix) -> bool:
     """Entrywise identity c_{lam,mu}(q) = e_{lam',mu'}(1/q)."""
     if (e.n, e.m) != (c.n, c.m):
         raise ValueError("matrices are not comparable")
+    conj = {p: conjugate(p) for p in e.order}
     return c.entries == {
-        (conjugate(lam), conjugate(mu)): v.bar() for (lam, mu), v in e.entries.items()
+        (conj[lam], conj[mu]): v.bar() for (lam, mu), v in e.entries.items()
     }
 
 

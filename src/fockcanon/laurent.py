@@ -11,7 +11,8 @@ between the lowest and highest exponent exists only in the JSON form.
 Sums of products, such as the entries of a triangular solve or the
 coefficients of an operator applied to a vector, are not built as a chain of
 immutable values: ``add_product`` adds a*b in place into a sparse
-{exponent: int} dict, and ``collect`` turns a whole table of such dicts into
+{exponent: int} dict, ``add_column`` adds a whole column of values times one
+value into a table of such dicts, and ``collect`` turns a table into
 LaurentPoly values once, when the sums are read.  The product of two values
 is one such sum.
 """
@@ -204,6 +205,30 @@ def add_product(acc: dict[int, int], a: LaurentPoly, b: LaurentPoly) -> None:
             acc[i + j] = acc.get(i + j, 0) + x * y
 
 
+def add_column(sums: dict, column: list, x: tuple) -> None:
+    """Add a*x into sums[row] in place for each (row, a) of column, where a
+    and x are given as their (exponent, coefficient) pairs.
+
+    Most x in a triangular solve are monomials: their products are shifted,
+    scaled copies of a, and a row not yet in sums gets that copy as its sum.
+    """
+    if len(x) == 1:
+        ((j, y),) = x
+        for row, a in column:
+            acc = sums.get(row)
+            if acc is None:
+                sums[row] = {i + j: c * y for i, c in a}
+            else:
+                for i, c in a:
+                    acc[i + j] = acc.get(i + j, 0) + c * y
+        return
+    for row, a in column:
+        acc = sums.setdefault(row, {})
+        for i, c in a:
+            for j, y in x:
+                acc[i + j] = acc.get(i + j, 0) + c * y
+
+
 def collect(sums: dict) -> dict:
     """{key: LaurentPoly} from {key: {exponent: int}}, without the keys whose
     sum is zero."""
@@ -241,12 +266,21 @@ def divide_exact(p: LaurentPoly, d: int) -> LaurentPoly:
     return LaurentPoly(tuple(pairs))
 
 
-def antisym_split(p: LaurentPoly) -> dict[int, int]:
+def antisym_split(p) -> dict[int, int]:
     """Decompose a bar-antisymmetric polynomial as sum r_j (q^j - q^-j).
 
-    Returns the map j -> r_j over j > 0.  Raises NotAntisymmetricError if
-    bar(p) != -p, which signals a corrupted bar computation upstream.
+    p is a LaurentPoly or a sparse {exponent: int} sum, whose zero
+    coefficients are ignored.  Returns the map j -> r_j over j > 0.  Raises
+    NotAntisymmetricError if bar(p) != -p, a nonzero q^0 coefficient
+    included, which signals a corrupted bar computation upstream.
     """
-    if p.bar() != -p:
-        raise NotAntisymmetricError(f"not antisymmetric under q -> 1/q: {p}")
-    return {e: c for e, c in p._pairs if e > 0}
+    terms = dict(p._pairs) if isinstance(p, LaurentPoly) else p
+    half = {}
+    for e, c in terms.items():
+        if c:
+            if terms.get(-e, 0) != -c:
+                p = LaurentPoly.from_terms(terms)
+                raise NotAntisymmetricError(f"not antisymmetric under q -> 1/q: {p}")
+            if e > 0:
+                half[e] = c
+    return half

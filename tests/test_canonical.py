@@ -147,6 +147,39 @@ def test_broken_bar_image_fails_loudly(monkeypatch, mu, lam, poly, error):
         canonical_lower.cache_clear()
 
 
+def test_constant_term_in_a_sum_fails_loudly(monkeypatch):
+    # a[(1,1),(2)] = q - q^-1 at n=2; adding 1 leaves a q^0 term in the sum
+    # of row (1,1), which no bar-antisymmetric polynomial has
+    real = wedge.bar_degree
+
+    def broken(m, n):
+        images = dict(real(m, n))
+        images[(2,)] = {**images[(2,)], (1, 1): P({1: 1, 0: 1, -1: -1})}
+        return images
+
+    canonical_upper.cache_clear()
+    canonical_lower.cache_clear()
+    monkeypatch.setattr(wedge, "bar_degree", broken)
+    try:
+        with pytest.raises(NotAntisymmetricError):
+            canonical_upper(2, 2)
+        with pytest.raises(NotAntisymmetricError):
+            canonical_lower(2, 2)
+    finally:
+        canonical_upper.cache_clear()
+        canonical_lower.cache_clear()
+
+
+def test_sums_that_cancel_leave_no_entry():
+    # hundreds of the walks' sums cancel to zero in this range (238 at n=2,
+    # m=9); the walk skips their rows instead of storing a zero entry
+    for n in (2, 3, 4):
+        for m in range(10):
+            d = canonical_upper(n, m)
+            for mat in (d, canonical_lower(n, m), adjoint_matrix(d)):
+                assert all(mat.entries.values()), (mat.kind, n, m)
+
+
 # Evidence that D holds q-decomposition numbers, as the paper conjectures.
 CONJECTURE_RANGE = ((2, 10), (3, 9), (4, 9))
 

@@ -92,6 +92,18 @@ def test_antisym_split_rejects():
         antisym_split(P({1: 1}))
 
 
+def test_antisym_split_of_a_sparse_sum():
+    # zero coefficients, as a sum left by cancellation holds, are ignored
+    assert antisym_split({2: 3, 0: 0, -2: -3, 1: 0}) == {2: 3}
+    assert antisym_split({1: 0, -1: 0}) == {}
+
+
+@pytest.mark.parametrize("terms", [{0: 1}, {1: 1, 0: 2, -1: -1}, {-1: 1}, {2: 1, -2: 1}])
+def test_antisym_split_rejects_a_sparse_sum(terms):
+    with pytest.raises(NotAntisymmetricError):
+        antisym_split(terms)
+
+
 def test_q_int():
     assert q_int(2) == P({1: 1, -1: 1})
     assert q_int(0) == ZERO
