@@ -123,7 +123,7 @@ def run_one(kinds: str, n: int, m: int, timeout: float, tmp: str) -> tuple[dict,
     killer = threading.Timer(timeout, kill, (pid,))
     killer.start()
     try:
-        _, status, _ = os.wait4(pid, 0)
+        _, status = os.waitpid(pid, 0)
     finally:
         killer.cancel()
     wall = perf_counter() - t0
