@@ -40,7 +40,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -107,36 +106,24 @@ def run_one(kinds: str, n: int, m: int, timeout: float, tmp: str) -> tuple[dict,
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
     out_path, err_path = os.path.join(tmp, f"{kinds}.out"), os.path.join(tmp, "stderr")
-    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-    actions = [
-        (os.POSIX_SPAWN_OPEN, 1, out_path, flags, 0o644),
-        (os.POSIX_SPAWN_OPEN, 2, err_path, flags, 0o644),
-    ]
-    fired = []
-
-    def kill(pid):
-        fired.append(True)
-        os.kill(pid, signal.SIGKILL)
-
+    timed_out = False
     t0 = perf_counter()
-    pid = os.posix_spawn(sys.executable, argv, env, file_actions=actions)
-    killer = threading.Timer(timeout, kill, (pid,))
-    killer.start()
-    try:
-        _, status = os.waitpid(pid, 0)
-    finally:
-        killer.cancel()
+    with open(out_path, "wb") as out, open(err_path, "wb") as err:
+        try:
+            code = subprocess.run(argv, stdout=out, stderr=err, env=env, timeout=timeout).returncode
+        except subprocess.TimeoutExpired:  # run() has killed the child
+            timed_out, code = True, -signal.SIGKILL
     wall = perf_counter() - t0
     record = {
         "kind": kinds, "n": n, "m": m,
         "wall_s": round(wall, 4),
         "peak_rss_mb": _child_peak_mb(err_path),
-        "exit_code": os.waitstatus_to_exitcode(status),
-        "timed_out": bool(fired),
+        "exit_code": code,
+        "timed_out": timed_out,
         "stdout_bytes": os.path.getsize(out_path),
         "stdout_sha256": _sha256(out_path),
     }
-    if record["exit_code"] and not fired:
+    if code and not timed_out:
         with open(err_path, errors="replace") as fh:
             record["stderr_tail"] = fh.read()[-400:]
     return record, out_path

@@ -100,7 +100,7 @@ def _insertion(u: tuple, x: int, n: int):
     out: dict = {}
     for s, coeff in _exchange(x - a, n):
         p = x - s
-        if not prefix or prefix[-1] > p:
+        if not prefix or prefix[-1] > p:  # then p = x - s > a + s = r
             first = ((prefix + (p,), _ONE),)
         elif prefix[-1] == p:
             continue
@@ -119,11 +119,7 @@ def _insertion(u: tuple, x: int, n: int):
 
 
 def _product(a: dict, b: dict) -> dict:
-    """a*b; b itself when a is 1 and a itself when b is 1."""
-    if a is _ONE:
-        return b
-    if b is _ONE:
-        return a
+    """a*b, a fresh dict."""
     acc: dict = {}
     _add_product(acc, None, a, b)
     return acc[None]

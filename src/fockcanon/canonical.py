@@ -42,7 +42,7 @@ from .partitions import (  # NotApplicableError: re-exported with steinberg_deco
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TransitionMatrix:
     kind: str
     n: int
@@ -85,13 +85,6 @@ class TransitionMatrix:
 
     def is_identity(self) -> bool:
         return self.entries == {(p, p): ONE for p in self.order}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TransitionMatrix)
-            and (self.kind, self.n, self.m) == (other.kind, other.n, other.m)
-            and self.entries == other.entries
-        )
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,15 @@
 """The bosonic picture: Fock vectors and the operator actions on them.
 
 Basis vectors are indexed by partitions.  The Chevalley action is computed
-combinatorially on partitions; the Heisenberg generators and the bar
-involution are delegated to the wedge layer.  The ribbon operators come in
-two independent implementations: the combinatorial strip sum (v_op / u_op)
-and the exponential formula through wedge straightening (v_op_via_heisenberg),
-which doubles as an oracle.  Its rational weights 1/z_rho are scaled by k! to
-integer class sizes, so all arithmetic stays in Z[q, 1/q].
+combinatorially on partitions: f_i and e_i are one loop, ``node_sums``,
+which the bar images of the wedge layer share for f_i.  The Heisenberg
+generators and the bar involution are delegated to the wedge layer.  The
+ribbon operators S_alpha come in two independent implementations: the
+combinatorial strip sums (v_op / u_op, s_alpha) and the character expansion
+through wedge straightening (s_alpha_via_characters), which doubles as an
+oracle; the exponential-formula oracle for V_k = S_(k), v_op_via_heisenberg,
+is the character oracle at (k).  Its rational weights are scaled to integer
+class sizes, so all arithmetic stays in Z[q, 1/q].
 """
 
 from __future__ import annotations
@@ -133,19 +136,24 @@ def _coeff_str(c) -> tuple[str, int]:
 # -- Chevalley action ---------------------------------------------------------
 
 
-def _node_action(variants, sign: int, i: int, v: FockVector, n: int) -> FockVector:
-    """sum over (p, c) in v and (nu, N) in variants(p, i, n) of c q^{sign N} |nu>."""
+def node_sums(variants, sign: int, i: int, v, n: int) -> dict:
+    """{partition: {exponent: int}}: the sum over (p, c) in v, a FockVector or
+    {partition: LaurentPoly}, and (nu, N) in variants(p, i, n) of
+    c q^{sign N} |nu>; each c is added as a copy shifted by sign N."""
     sums: dict = {}
     for p, c in v.items():
+        pairs = c.terms()
         for nu, count in variants(p, i, n):
-            shift = LaurentPoly.monomial(1, sign * count)
-            add_product(sums.setdefault(nu, {}), c, shift)
-    return FockVector(collect(sums))
+            acc = sums.setdefault(nu, {})
+            s = sign * count
+            for j, x in pairs:
+                acc[j + s] = acc.get(j + s, 0) + x
+    return sums
 
 
 def f_action(i: int, v: FockVector, n: int) -> FockVector:
     """Node-adding generator: f_i |lam> = sum q^{N_i^r} |mu>."""
-    return _node_action(add_node_variants, 1, i, v, n)
+    return FockVector(collect(node_sums(add_node_variants, 1, i, v, n)))
 
 
 def e_action(i: int, v: FockVector, n: int) -> FockVector:
@@ -154,7 +162,7 @@ def e_action(i: int, v: FockVector, n: int) -> FockVector:
     The exponent is the negative of the left count; the positive variant
     fails the quantum Serre commutator with f_i.
     """
-    return _node_action(remove_node_variants, -1, i, v, n)
+    return FockVector(collect(node_sums(remove_node_variants, -1, i, v, n)))
 
 
 def weight_exponents(p: Partition, n: int) -> tuple[tuple[int, ...], int]:
@@ -224,34 +232,16 @@ def _chain_sum(chains, op, v: FockVector, n: int) -> FockVector:
     return FockVector(collect(sums))
 
 
-def _power_sum_expansion(r: int, weight, v: FockVector, n: int) -> FockVector:
-    """(1/r!) * sum over partitions beta of r of weight(beta) * B_{-beta} v,
-    applying B_{-beta_1} first.
-
-    weight(beta) is r! times the rational coefficient of B_{-beta}, an
-    integer, so the sum stays in Z[q, 1/q]; the final division by r! is exact
-    or raises NonIntegralResultError.
-    """
-    chains = (
-        (tuple(-part for part in beta), weight(beta)) for beta in partitions_of(r)
-    )
-    out = _chain_sum(chains, b_action, v, n)
-    d = factorial(r)
-    return FockVector({p: divide_exact(c, d) for p, c in out.items()})
-
-
 def v_op_via_heisenberg(k: int, v: FockVector, n: int) -> FockVector:
     """Exponential-formula oracle for v_op:
     V_k = sum over partitions rho of k of B_{-rho} / z_rho.
 
-    Evaluated as (1/k!) sum (k!/z_rho) B_{-rho}: each k!/z_rho is the size of
-    a conjugacy class of S_k, and the division by k! must be exact.
+    V_k is S_(k), and chi^(k) is 1 on every cycle type, so this is the
+    character oracle s_alpha_via_characters at alpha = (k).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _power_sum_expansion(
-        k, lambda rho: factorial(k) // symfunc.z_order(rho), v, n
-    )
+    return s_alpha_via_characters((k,) if k else (), v, n)
 
 
 def s_alpha(alpha: Partition, v: FockVector, n: int) -> FockVector:
@@ -297,17 +287,20 @@ def s_alpha(alpha: Partition, v: FockVector, n: int) -> FockVector:
 
 
 def s_alpha_via_characters(alpha: Partition, v: FockVector, n: int) -> FockVector:
-    """Character-expansion oracle:
-    S_alpha = sum over cycle types beta of (chi^alpha_beta / z_beta) B_{-beta}.
+    """Character-expansion oracle: S_alpha = sum over cycle types beta of
+    (chi^alpha_beta / z_beta) B_{-beta}, applying B_{-beta_1} first.
+
+    Evaluated as (1/r!) sum chi^alpha_beta (r!/z_beta) B_{-beta}, r = |alpha|:
+    each r!/z_beta is the size of a conjugacy class of S_r, and the division
+    by r! is exact or raises NonIntegralResultError.
     """
-    r = sum(alpha)
-    return _power_sum_expansion(
-        r,
-        lambda beta: symfunc.mn_character(alpha, beta)
-        * (factorial(r) // symfunc.z_order(beta)),
-        v,
-        n,
-    )
+    d = factorial(sum(alpha))
+    chains = []
+    for beta in partitions_of(sum(alpha)):
+        weight = symfunc.mn_character(alpha, beta) * (d // symfunc.z_order(beta))
+        chains.append((tuple(-part for part in beta), weight))
+    out = _chain_sum(chains, b_action, v, n)
+    return FockVector({p: divide_exact(c, d) for p, c in out.items()})
 
 
 def psi_q(p: Partition, n: int) -> FockVector:

@@ -32,7 +32,8 @@ is how the A matrix and the canonical bases ask for them.  The f-steps read
 ``partitions.node_row``, the memoized row of a partition that holds its
 f-step and its f_i for every residue i, for the partitions they reach and
 for the terms of the images they lift, so each partition's rim is scanned
-once until ``clear_caches``; ``fock.f_action`` reads the same rows.
+once until ``clear_caches``; ``fock.f_action`` reads the same rows, and
+f_i on an image is fock's f_i loop.
 """
 
 from __future__ import annotations
@@ -196,32 +197,30 @@ def _unitriangular(lam: Partition, col: dict, how: str) -> dict:
     return col
 
 
+def _f_row(p: Partition, i: int, n: int) -> tuple:
+    """The f_i variants of p, straight from its node row: add_node_variants
+    copies the row, and perfbench counts its calls as f_i's own."""
+    return node_row(p, n)[1][i]
+
+
 def _f_column(lam: Partition, n: int, i: int, mu: Partition) -> dict[Partition, LaurentPoly]:
-    """bar|lam> = q^e (f_i bar|mu> - sum_a q^{-e_a} bar|lam-b+a>).
+    """bar|lam> = f_i bar|mu> - sum_a q^{-e_a} bar|lam-b+a>.
 
     lam = mu + b for the f-step (i, mu) of lam (see partitions.node_row), and
-    f_i|mu> = q^e|lam> + sum_a q^{e_a}|lam-b+a> over the addable i-nodes a of
-    lam; all of them lie below b, so every lam-b+a is lex-smaller than lam.
-    f_i on each term nu of bar|mu> reads the row of nu, and each coefficient
-    is added as a copy shifted by its power of q.  Every image used must
-    already be in _bar_images.
+    f_i|mu> = |lam> + sum_a q^{e_a}|lam-b+a> over the addable i-nodes a of
+    lam.  The top coefficient is 1: the f-step rule leaves no i-node of lam
+    above b, so N_i^r = 0 for b.  Every a lies below b, so every lam-b+a is
+    lex-smaller than lam.  f_i bar|mu> is fock's f_i loop, fock.node_sums.
+    Every image used must already be in _bar_images.
     """
-    others = dict(node_row(mu, n)[1][i])
-    e = others.pop(lam)
-    sums: dict[Partition, dict[int, int]] = {}
-    for nu, c in _bar_images[(n, mu)].items():
-        pairs = c.terms()
-        for target, e_nu in node_row(nu, n)[1][i]:
-            acc = sums.setdefault(target, {})
-            s = e + e_nu
-            for j, x in pairs:
-                acc[j + s] = acc.get(j + s, 0) + x
-    for target, e_a in others.items():
-        s = e - e_a
+    sums = fock.node_sums(_f_row, 1, i, _bar_images[(n, mu)], n)
+    for target, e_a in _f_row(mu, i, n):
+        if target == lam:
+            continue
         for nu, c in _bar_images[(n, target)].items():
             acc = sums.setdefault(nu, {})
             for j, x in c.terms():
-                acc[j + s] = acc.get(j + s, 0) - x
+                acc[j - e_a] = acc.get(j - e_a, 0) - x
     return _unitriangular(lam, collect(sums), f"f_{i}")
 
 
@@ -342,7 +341,7 @@ def _build(targets, n: int) -> None:
         if build is None:
             if (f_step := node_row(lam, n)[0]) is not None:
                 i, mu = f_step
-                needs = (mu, *dict(node_row(mu, n)[1][i]))
+                needs = (mu, *dict(_f_row(mu, i, n)))
                 build = partial(_f_column, lam, n, i, mu)
             elif (s_step := _s_step(lam, n)) is not None:
                 alpha, mu, top = s_step

@@ -147,6 +147,20 @@ def test_broken_bar_image_fails_loudly(monkeypatch, mu, lam, poly, error):
         canonical_lower.cache_clear()
 
 
+def test_bar_image_outside_its_block_fails_a_matrix(monkeypatch):
+    real = wedge.bar_degree
+
+    def broken(m, n):
+        images = dict(real(m, n))
+        images[(3,)] = {**images[(3,)], (2, 1): ONE}  # (2,1) is a 2-core
+        return images
+
+    monkeypatch.setattr(wedge, "bar_degree", broken)
+    with pytest.raises(AssertionError, match=r"bar\|\(3,\)> leaves its n-core block"):
+        a_matrix(2, 3)
+    assert (2, 1) not in real(3, 2)[(3,)]  # the stored image is untouched
+
+
 def test_constant_term_in_a_sum_fails_loudly(monkeypatch):
     # a[(1,1),(2)] = q - q^-1 at n=2; adding 1 leaves a q^0 term in the sum
     # of row (1,1), which no bar-antisymmetric polynomial has

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from fockcanon import matrixio
+from fockcanon import fock, matrixio
 from fockcanon.canonical import canonical_upper
 from fockcanon.cli import main, parse_partition, parse_vector
 from fockcanon.fock import FockVector
@@ -281,6 +281,41 @@ def test_verify_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_adjoint_suite_passes(capsys, n):
+    code, out = run_cli(capsys, "verify", "--suite", "adjoint", "-n", str(n), "--max-m", "8")
+    assert code == 0
+    assert "[PASS] adjoint: <U_k x, y> = <x, V_k y>" in out
+
+
+def _heights_plus_one(real):
+    def strips(p, n, k):
+        return [s._replace(height=s.height + 1) for s in real(p, n, k)]
+    return strips
+
+
+@pytest.mark.parametrize(
+    "name, mutant, suite, check",
+    [
+        # the f_i/e_i loop ignoring sign: e_i gets q^{+N_i^l}
+        ("node_sums", lambda real: lambda variants, sign, i, v, n: real(variants, 1, i, v, n),
+         "uqsl", "[e_i, f_j] commutator"),
+        ("s_alpha_via_characters",
+         lambda real: lambda alpha, v, n: real(alpha, v, n).scale(LaurentPoly.monomial(1, 1)),
+         "ribbon", "strip sum equals exponential formula"),
+        # read only by u_op
+        ("ribbon_strips_below", _heights_plus_one, "adjoint", "<U_k x, y> = <x, V_k y>"),
+    ],
+    ids=["e_i-ignores-sign", "oracle-times-q", "u_op-heights-plus-one"],
+)
+def test_verify_fails_on_a_broken_operator(monkeypatch, capsys, name, mutant, suite, check):
+    monkeypatch.setattr(fock, name, mutant(getattr(fock, name)))
+    code, out = run_cli(capsys, "verify", "--suite", suite, "-n", "2", "--max-m", "4")
+    assert code == 1
+    assert f"[FAIL] {suite}: {check}" in out
+    assert f"[FAIL] {suite}: suite total" in out
+
+
 def test_cache_round_trip(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     code, first = run_cli(
@@ -313,6 +348,26 @@ def test_entry_of_an_earlier_algorithm_is_recomputed(tmp_path, capsys):
     assert (code, got) == (0, want)
     assert Path(matrixio.cache_path(str(cache), "D", 2, 4)).read_text() == want
     assert (cache / "D_n2_m4.json").read_text() == stale
+
+
+@pytest.mark.parametrize("kind, n, m", [("A", 2, 4), ("D", 3, 4), ("D", 2, 5)],
+                         ids=["other-kind", "other-n", "other-m"])
+def test_document_under_another_key_is_recomputed(tmp_path, capsys, kind, n, m):
+    # a valid D document of n=2, m=4 under the file name of another key
+    cache = tmp_path / "cache"
+    code, doc = run_cli(capsys, "matrix", "--kind", "D", "-n", "2", "-m", "4",
+                        "--format", "json", "--no-cache")
+    cache.mkdir()
+    path = Path(matrixio.cache_path(str(cache), kind, n, m))
+    path.write_text(doc)
+    with pytest.raises(matrixio.SchemaMismatchError, match="does not match its key"):
+        matrixio.cache_load(str(cache), kind, n, m)
+    argv = ("matrix", "--kind", kind, "-n", str(n), "-m", str(m), "--format", "json")
+    code, want = run_cli(capsys, *argv, "--no-cache")
+    assert want != doc
+    code, got = run_cli(capsys, *argv, "--cache-dir", str(cache))
+    assert (code, got) == (0, want)
+    assert path.read_text() == want
 
 
 def test_cache_env_var_override(tmp_path, capsys, monkeypatch):

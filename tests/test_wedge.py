@@ -346,6 +346,21 @@ def test_warm_bar_basis_does_not_enter_the_build(monkeypatch):
         wedge.clear_caches()
 
 
+def test_f_step_top_coefficient_is_one():
+    # _f_column relies on it: the f-step rule leaves no i-node of lam above
+    # the node b that f_i adds to mu, so N_i^r = 0 for b
+    steps = 0
+    for n in (2, 3, 4, 5):
+        for m in range(13):
+            for lam in partitions_of(m):
+                step = node_row(lam, n)[0]
+                if step is not None:
+                    i, mu = step
+                    assert dict(node_row(mu, n)[1][i])[lam] == 0, (n, lam)
+                    steps += 1
+    assert steps > 0
+
+
 @pytest.mark.parametrize("name", ["shifted", "negated"])
 def test_broken_f_step_is_caught(monkeypatch, name):
     real = wedge.node_row
