@@ -10,9 +10,11 @@ process (kind "ADEC"), where D's walk is shared by C and the bar images by
 D and E.  Each run records its wall time, its peak RSS, exit code and the
 SHA-256 of its stdout; the ADEC run also records whether its stdout is the
 four single runs' stdouts one after the other.  A run that outlives
-TIMEOUT_S is killed and recorded as timed out.  The results, with the git
-revision and the Python version, go to ``BENCH_<short revision>.json``,
-whose path is printed.
+TIMEOUT_S is killed and recorded as timed out, with exit code -9.  The wall
+time is taken around ``subprocess.run``, whose wait with a timeout polls,
+sleeping up to 50 ms between polls, so wall_s can read up to 50 ms long.
+The results, with the git revision and the Python version, go to
+``BENCH_<short revision>.json``, whose path is printed.
 
     python benchmarks/bench.py [--out DIR] [--smoke]
 

@@ -173,9 +173,10 @@ def node_row(p: Partition, n: int) -> tuple:
     variants[i] lists (mu, N_i^r) for each addable i-node b of p, mu = p + b,
     top row first.  The f-step is (i, mu) with p = mu + b for the first
     removable node b whose residue i has no addable node of p in a row above
-    it, or None when there is no such node: f_i|mu> is then q^e|p> plus
-    lex-smaller terms (see wedge).  Rows are memoized until
-    wedge.clear_caches and hold only tuples, so no caller can change one.
+    it, or None when there is no such node.  p then has no i-node above b,
+    so f_i|mu> is |p> plus lex-smaller terms (see wedge).  Rows are memoized
+    until wedge.clear_caches and hold only tuples, so no caller can change
+    one.
     """
     variants: list[tuple[tuple[Partition, int], ...]] = [()] * n
     counts = [0] * n
