@@ -9,10 +9,11 @@ once for each kind A, D, E and C, and once more with all four kinds in one
 process (kind "ADEC"), where D's walk is shared by C and the bar images by
 D and E.  Each run records its wall time, its peak RSS, exit code and the
 SHA-256 of its stdout; the ADEC run also records whether its stdout is the
-four single runs' stdouts one after the other.  A run that outlives
-TIMEOUT_S is killed and recorded as timed out, with exit code -9.  The wall
-time is taken around ``subprocess.run``, whose wait with a timeout polls,
-sleeping up to 50 ms between polls, so wall_s can read up to 50 ms long.
+four single runs' stdouts one after the other.  The wall time is taken from
+the spawn to a blocking wait for the child's exit, which returns as soon as
+the child exits (a wait with a timeout would poll, sleeping up to 50 ms).
+A timer kills a run that outlives TIMEOUT_S; it is recorded as timed out,
+with exit code -9.
 The results, with the git revision and the Python version, go to
 ``BENCH_<short revision>.json``, whose path is printed.
 
@@ -42,6 +43,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -108,14 +110,17 @@ def run_one(kinds: str, n: int, m: int, timeout: float, tmp: str) -> tuple[dict,
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
     out_path, err_path = os.path.join(tmp, f"{kinds}.out"), os.path.join(tmp, "stderr")
-    timed_out = False
     t0 = perf_counter()
     with open(out_path, "wb") as out, open(err_path, "wb") as err:
+        child = subprocess.Popen(argv, stdout=out, stderr=err, env=env)
+        timer = threading.Timer(timeout, child.kill)
+        timer.start()
         try:
-            code = subprocess.run(argv, stdout=out, stderr=err, env=env, timeout=timeout).returncode
-        except subprocess.TimeoutExpired:  # run() has killed the child
-            timed_out, code = True, -signal.SIGKILL
-    wall = perf_counter() - t0
+            code = child.wait()
+            wall = perf_counter() - t0
+        finally:
+            timer.cancel()
+    timed_out = code == -signal.SIGKILL and wall >= timeout
     record = {
         "kind": kinds, "n": n, "m": m,
         "wall_s": round(wall, 4),

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import factorial
 
 from . import symfunc, wedge
-from .laurent import ONE, LaurentPoly, add_product, collect, divide_exact
+from .laurent import ONE, LaurentPoly, add_product, add_shifted, collect, divide_exact
 from .partitions import (
     Partition,
     add_node_variants,
@@ -66,7 +66,7 @@ class FockVector:
         sums: dict = {}
         for vec in (self, other):
             for p, c in vec.terms.items():
-                add_product(sums.setdefault(p, {}), c, ONE)
+                add_shifted(sums.setdefault(p, {}), c.terms())
         return FockVector(collect(sums))
 
     def __neg__(self) -> "FockVector":
@@ -139,15 +139,12 @@ def _coeff_str(c) -> tuple[str, int]:
 def node_sums(variants, sign: int, i: int, v, n: int) -> dict:
     """{partition: {exponent: int}}: the sum over (p, c) in v, a FockVector or
     {partition: LaurentPoly}, and (nu, N) in variants(p, i, n) of
-    c q^{sign N} |nu>; each c is added as a copy shifted by sign N."""
+    c q^{sign N} |nu>; each c is added by add_shifted, shifted by sign N."""
     sums: dict = {}
     for p, c in v.items():
         pairs = c.terms()
         for nu, count in variants(p, i, n):
-            acc = sums.setdefault(nu, {})
-            s = sign * count
-            for j, x in pairs:
-                acc[j + s] = acc.get(j + s, 0) + x
+            add_shifted(sums.setdefault(nu, {}), pairs, sign * count)
     return sums
 
 
@@ -188,16 +185,15 @@ def b_action(k: int, v: FockVector, n: int) -> FockVector:
 def _strip_sums(strips, above: bool, k: int, terms: dict, n: int) -> dict:
     """{partition: {exponent: int}}: the sum over (p, c) in terms, c an
     {exponent: int} dict, and the strips of strips(p, n, k) of
-    c (-1)^h q^{-h} at the strip's target (above) or source (below)."""
+    c (-1)^h q^{-h} at the strip's target (above) or source (below); each c
+    is added by add_shifted."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     sums: dict = {}
     for p, c in terms.items():
         for source, target, _, _, h in strips(p, n, k):
             acc = sums.setdefault(target if above else source, {})
-            sign = -1 if h % 2 else 1
-            for e, a in c.items():
-                acc[e - h] = acc.get(e - h, 0) + sign * a
+            add_shifted(acc, c.items(), -h, -1 if h % 2 else 1)
     return sums
 
 
@@ -226,9 +222,8 @@ def _chain_sum(chains, op, v: FockVector, n: int) -> FockVector:
         term = v
         for part in parts:
             term = op(part, term, n)
-        scale = LaurentPoly.monomial(weight)
         for p, c in term.items():
-            add_product(sums.setdefault(p, {}), c, scale)
+            add_shifted(sums.setdefault(p, {}), c.terms(), 0, weight)
     return FockVector(collect(sums))
 
 
@@ -275,11 +270,8 @@ def s_alpha(alpha: Partition, v: FockVector, n: int) -> FockVector:
             if not k:
                 out = term
                 continue
-            sign = -1 if k % 2 else 1
             for p, c in term.items():
-                acc = out.setdefault(p, {})
-                for e, a in c.items():
-                    acc[e] = acc.get(e, 0) + sign * a
+                add_shifted(out.setdefault(p, {}), c.items(), 0, -1 if k % 2 else 1)
         minors[rows] = out = {p: c for p, c in out.items() if any(c.values())}
         return out
 

@@ -11,10 +11,11 @@ between the lowest and highest exponent exists only in the JSON form.
 Sums of products, such as the entries of a triangular solve or the
 coefficients of an operator applied to a vector, are not built as a chain of
 immutable values: ``add_product`` adds a*b in place into a sparse
-{exponent: int} dict, ``add_column`` adds a whole column of values times one
-value into a table of such dicts, and ``collect`` turns a table into
-LaurentPoly values once, when the sums are read.  The product of two values
-is one such sum.
+{exponent: int} dict, ``add_shifted`` adds a value times c*q^s for an integer
+c (all that f_i, e_i and the ribbon operators multiply by), ``add_column``
+adds a column of values times one value into a table of such dicts, and
+``collect`` turns a table into LaurentPoly values once.  No other module
+adds into such a sum by hand.
 """
 
 from __future__ import annotations
@@ -77,8 +78,7 @@ class LaurentPoly:
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
         acc = dict(self._pairs)
-        for e, c in other._pairs:
-            acc[e] = acc.get(e, 0) + c
+        add_shifted(acc, other._pairs)
         return LaurentPoly.from_terms(acc)
 
     __radd__ = __add__
@@ -203,6 +203,13 @@ def add_product(acc: dict[int, int], a: LaurentPoly, b: LaurentPoly) -> None:
     for i, x in a._pairs:
         for j, y in bpairs:
             acc[i + j] = acc.get(i + j, 0) + x * y
+
+
+def add_shifted(acc: dict[int, int], pairs, shift: int = 0, scale: int = 1) -> None:
+    """Add scale*q^shift*p into the sparse sum acc in place, p given as its
+    (exponent, coefficient) pairs; zeros stay in acc until ``collect``."""
+    for e, c in pairs:
+        acc[e + shift] = acc.get(e + shift, 0) + scale * c
 
 
 def add_column(sums: dict, column: list, x: tuple) -> None:

@@ -42,7 +42,7 @@ from functools import partial
 
 from . import _straighten_py as _kernel
 from . import fock
-from .laurent import ONE, LaurentPoly, add_product, collect
+from .laurent import ONE, LaurentPoly, add_product, add_shifted, collect
 from .partitions import (
     NotApplicableError,
     Partition,
@@ -210,17 +210,16 @@ def _f_column(lam: Partition, n: int, i: int, mu: Partition) -> dict[Partition, 
     f_i|mu> = |lam> + sum_a q^{e_a}|lam-b+a> over the addable i-nodes a of
     lam.  The top coefficient is 1: the f-step rule leaves no i-node of lam
     above b, so N_i^r = 0 for b.  Every a lies below b, so every lam-b+a is
-    lex-smaller than lam.  f_i bar|mu> is fock's f_i loop, fock.node_sums.
-    Every image used must already be in _bar_images.
+    lex-smaller than lam.  f_i bar|mu> is fock's f_i loop, fock.node_sums,
+    and each correction is added by laurent.add_shifted.  Every image used
+    must already be in _bar_images.
     """
     sums = fock.node_sums(_f_row, 1, i, _bar_images[(n, mu)], n)
     for target, e_a in _f_row(mu, i, n):
         if target == lam:
             continue
         for nu, c in _bar_images[(n, target)].items():
-            acc = sums.setdefault(nu, {})
-            for j, x in c.terms():
-                acc[j - e_a] = acc.get(j - e_a, 0) - x
+            add_shifted(sums.setdefault(nu, {}), c.terms(), -e_a, -1)
     return _unitriangular(lam, collect(sums), f"f_{i}")
 
 
@@ -253,7 +252,7 @@ def _s_column(
     sums: dict[Partition, dict[int, int]] = {}
     for part in (top, image):
         for nu, s in part.items():
-            add_product(sums.setdefault(nu, {}), ONE, s)
+            add_shifted(sums.setdefault(nu, {}), s.terms())
     for nu, s in top.items():
         if nu != lam:
             scale = -s.bar()

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import threading
 from pathlib import Path
 
 import pytest
 
-from fockcanon import fock, matrixio
+from fockcanon import fock, matrixio, verify
 from fockcanon.canonical import canonical_upper
 from fockcanon.cli import main, parse_partition, parse_vector
 from fockcanon.fock import FockVector
@@ -314,6 +315,84 @@ def test_verify_fails_on_a_broken_operator(monkeypatch, capsys, name, mutant, su
     assert code == 1
     assert f"[FAIL] {suite}: {check}" in out
     assert f"[FAIL] {suite}: suite total" in out
+
+
+Q = LaurentPoly.monomial(1, 1)
+
+
+def _times(c):
+    """The vector-valued function real, with every result scaled by c."""
+    return lambda real: lambda *args: real(*args).scale(c)
+
+
+def _off_diagonal(change):
+    """The matrix function real, with each off-diagonal entry (key, poly)
+    replaced by change(key, poly)."""
+    def mutant(real):
+        def broken(n, m):
+            mat = real(n, m)
+            entries = dict(
+                change(key, v) if key[0] != key[1] else (key, v)
+                for key, v in mat.entries.items()
+            )
+            return dataclasses.replace(mat, entries=entries)
+        return broken
+    return mutant
+
+
+# every line of verify.py that marks a check failed, and that no other test
+# reaches, runs in some case; each case breaks a name its check reads
+@pytest.mark.parametrize(
+    "module, name, mutant, suite, check",
+    [
+        (fock, "bar_basis_vector", _times(Q), "involution", "bar^2 = id"),
+        (fock, "f_action", _times(Q), "involution", "bar commutes with f_i and B_-k"),
+        (fock, "b_action", _times(Q), "involution", "bar commutes with f_i and B_-k"),
+        (fock, "f_action", _times(LaurentPoly.monomial(2)),
+         "uqsl", "classical limit of f_i is multiplicity free"),
+        (fock, "b_action", _times(Q), "heisenberg", "[B_k, B_-k] = k(1-q^-2nk)/(1-q^-2k)"),
+        # B_k alone scaled: [B_k, B_-k] fails too, but only the pairing tells
+        # B_k from B_-k
+        (fock, "b_action",
+         lambda real: lambda k, v, n: real(k, v, n).scale(Q if k > 0 else 1),
+         "heisenberg", "<B_k u, v> = <u, B_-k v>"),
+        (verify, "ribbon_strips_above", _heights_plus_one, "ribbon", "0 <= h <= k(n-1)"),
+        (verify, "ribbon_strips_above", lambda real: lambda p, n, k: list(real(p, n, k))[1:],
+         "ribbon", "single ribbons match diagram enumeration"),
+        (verify, "two_sign", lambda real: lambda p: 1, "ribbon", "(-1)^h is the 2-sign ratio"),
+        # V_k on the vacuum scaled by q^k: V_j V_k picks up q^k, V_k V_j q^j
+        (fock, "v_op",
+         lambda real: lambda k, v, n: real(k, v, n).scale(
+             LaurentPoly.monomial(1, k) if v == FockVector.basis(()) else 1),
+         "adjoint", "V_j V_k = V_k V_j on the vacuum"),
+        (verify, "canonical_upper", _off_diagonal(lambda key, v: (key, v.bar())),
+         "duality", "rings: off-diag D in qZ[q], E in q^-1 Z[q^-1]"),
+        (verify, "canonical_lower", _off_diagonal(lambda key, v: (key, v.bar())),
+         "duality", "rings: off-diag D in qZ[q], E in q^-1 Z[q^-1]"),
+        # a D broken this way would stop adjoint_matrix before the checks, so
+        # the order they read is reversed instead; E fails too
+        (verify, "dominance_leq", lambda real: lambda a, b: real(b, a),
+         "duality", "triangularity"),
+        (verify, "canonical_lower", _off_diagonal(lambda key, v: (key[::-1], v)),
+         "duality", "triangularity"),
+        # every partition its own n-core: D and E both fail
+        (verify, "blocks",
+         lambda real: lambda n, m: {p: (p,) for ps in real(n, m).values() for p in ps},
+         "duality", "n-core block structure"),
+        (verify, "steinberg_g_minus", _times(Q), "steinberg", "factorization matches rows"),
+    ],
+    ids=[
+        "bar^2", "bar-f_i", "bar-B_-k", "classical-limit", "heisenberg-commutator",
+        "heisenberg-pairing", "strip-heights", "single-ribbons", "two-sign",
+        "v-commute", "d-ring", "e-ring", "triangularity", "e-transposed", "blocks",
+        "steinberg",
+    ],
+)
+def test_every_verify_check_can_fail(monkeypatch, capsys, module, name, mutant, suite, check):
+    monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    code, out = run_cli(capsys, "verify", "--suite", suite, "-n", "2", "--max-m", "4")
+    assert code == 1
+    assert f"[FAIL] {suite}: {check}" in out
 
 
 def test_cache_round_trip(tmp_path, capsys):

@@ -11,7 +11,9 @@ from fockcanon.laurent import (
     LaurentPoly,
     NonIntegralResultError,
     NotAntisymmetricError,
+    add_shifted,
     antisym_split,
+    collect,
     divide_exact,
     q_int,
 )
@@ -102,6 +104,42 @@ def test_antisym_split_of_a_sparse_sum():
 def test_antisym_split_rejects_a_sparse_sum(terms):
     with pytest.raises(NotAntisymmetricError):
         antisym_split(terms)
+
+
+def test_add_shifted_by_hand():
+    p = P({-1: 2, 2: -3})
+    acc = {}
+    add_shifted(acc, p.terms())
+    assert acc == {-1: 2, 2: -3}
+    acc = {}
+    add_shifted(acc, p.terms(), 3, -2)
+    assert acc == {2: -4, 5: 6}
+    # into an existing sum: a shared exponent adds up, the others are kept
+    acc = {2: 1, 7: 5}
+    add_shifted(acc, p.terms(), 3)
+    assert acc == {2: 3, 5: -3, 7: 5}
+
+
+def test_add_shifted_keeps_zeros_until_collect():
+    # a sum given as dict items, cancelling against what acc holds
+    acc = {0: 4, 1: 1}
+    add_shifted(acc, {-2: 2, 0: 5}.items(), 2, -2)
+    assert acc == {0: 0, 1: 1, 2: -10}
+    assert collect({"x": acc, "zero": {3: 0}}) == {"x": P({1: 1, 2: -10})}
+
+
+@pytest.mark.parametrize("shift, scale", [(0, 1), (-4, 1), (2, -1), (-1, 3), (5, 0)])
+def test_add_shifted_matches_the_product(shift, scale):
+    """Terms and dict items alike, add_shifted adds scale*q^shift*p, by exact
+    evaluation."""
+    for p in SAMPLES:
+        for a in SAMPLES:
+            for pairs in (p.terms(), dict(p.terms()).items()):
+                acc = dict(a.terms())
+                add_shifted(acc, pairs, shift, scale)
+                for q in POINTS:
+                    want = evaluate(a, q) + scale * q**shift * evaluate(p, q)
+                    assert evaluate(P(acc), q) == want
 
 
 def test_q_int():
