@@ -1,4 +1,4 @@
-"""End-to-end timings of ``fock-canon matrix``, one fresh process per run.
+"""End-to-end timings of the ``fock-canon`` CLI, one fresh process per run.
 
 For each size (n, m) this runs, from this checkout's ``src/`` in a new
 interpreter, the equivalent of
@@ -7,13 +7,23 @@ interpreter, the equivalent of
 
 once for each kind A, D, E and C, and once more with all four kinds in one
 process (kind "ADEC"), where D's walk is shared by C and the bar images by
-D and E.  Each run records its wall time, its peak RSS, exit code and the
-SHA-256 of its stdout; the ADEC run also records whether its stdout is the
-four single runs' stdouts one after the other.  The wall time is taken from
-the spawn to a blocking wait for the child's exit, which returns as soon as
-the child exits (a wait with a timeout would poll, sleeping up to 50 ms).
-A timer kills a run that outlives TIMEOUT_S; it is recorded as timed out,
-with exit code -9.
+D and E.  Then, for each entry (suite, n, max_m) of perfbench's verify-ops
+plan, it runs the equivalent of
+
+    python -m fockcanon.cli verify --suite SUITE -n N --max-m MAX_M
+
+One run takes the wall time, the peak RSS, the exit code and the SHA-256 of
+stdout of its process.  Every run that took under SUB_SECOND_S is repeated
+until it has REPEATS samples, in rounds over all such runs, so that a drift
+of the machine's speed falls on all of them alike; a longer run (the reach
+sizes) stays a single sample.  A record gives the median wall time with its
+min and max, the median peak RSS, and whether the stdout digests of its
+samples are equal; an ADEC record also gives whether its stdout is the four
+single runs' stdouts one after the other.  The wall time is taken from the
+spawn to a blocking wait for the child's exit, which returns as soon as the
+child exits (a wait with a timeout would poll, sleeping up to 50 ms).  A
+timer kills a run that outlives TIMEOUT_S; it is recorded as timed out, with
+exit code -9.
 The results, with the git revision and the Python version, go to
 ``BENCH_<short revision>.json``, whose path is printed.
 
@@ -24,10 +34,11 @@ exit and writes to stderr (None where there is no /proc).  The child's
 ``ru_maxrss`` cannot serve: on Linux it starts out at the spawning process's
 peak, recorded as ``driver_peak_rss_mb``, and keeps it across the exec.
 BENCH files written before this script read VmHWM hold ``ru_maxrss`` as
-peak_rss_mb.
+peak_rss_mb; those written before it repeated runs hold one sample per run.
 
 Two files from two revisions are comparable run by run: equal stdout digests
-mean equal matrices.  The exit status is 1 when any run failed or timed out,
+mean equal matrices and equal verify reports.  The exit status is 1 when any
+run failed or timed out, when the samples of a run printed different stdouts,
 or when an ADEC run's stdout differs from its single runs'.
 """
 
@@ -40,6 +51,7 @@ import os
 import platform
 import resource
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -47,19 +59,24 @@ import threading
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from workloads import SMOKE_VERIFY_PLAN, VERIFY_PLAN  # noqa: E402  (verify-ops' plans)
+
 KINDS = ("A", "D", "E", "C")
 ALL_KINDS = "".join(KINDS)
 # the north star's end-to-end sizes, then the reach sizes
 SIZES = ((2, 13), (3, 12), (4, 12), (2, 18), (2, 20), (3, 20), (4, 22), (3, 22), (4, 24))
 SMOKE_SIZES = ((2, 6), (3, 5))
 TIMEOUT_S = 300.0
-# the child: `matrix --kind K` for each letter K of argv[1], then its VmHWM
+SUB_SECOND_S = 1.0
+REPEATS = 5
+# the child: `main(argv)` for each CLI argv of the JSON list argv[1], then its VmHWM
 CHILD = """
-import sys
+import json, sys
 from fockcanon.cli import main
 try:
-    for kind in sys.argv[1]:
-        status = main(["matrix", "--kind", kind, *sys.argv[2:]])
+    for argv in json.loads(sys.argv[1]):
+        status = main(argv)
         if status:
             break
 finally:
@@ -99,17 +116,15 @@ def _child_peak_mb(err_path: str):
     return round(int(marks[-1][1]) / 1024, 1) if marks and len(marks[-1]) == 2 else None
 
 
-def run_one(kinds: str, n: int, m: int, timeout: float, tmp: str) -> tuple[dict, str]:
-    """One fresh CLI process that computes each kind of kinds in turn;
-    stdout and stderr go to files, so a large matrix cannot block on a pipe.
-    Returns the record and the path of the stdout file."""
-    argv = [sys.executable, "-c", CHILD, kinds,
-            "-n", str(n), "-m", str(m), "--no-cache", "--format", "json"]
+def run_one(argvs: list, timeout: float, out_path: str, err_path: str) -> dict:
+    """One fresh CLI process that runs main(argv) for each argv of argvs in
+    turn; stdout and stderr go to files, so a large matrix cannot block on a
+    pipe.  Returns the sample."""
+    argv = [sys.executable, "-c", CHILD, json.dumps(argvs)]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
-    out_path, err_path = os.path.join(tmp, f"{kinds}.out"), os.path.join(tmp, "stderr")
     t0 = perf_counter()
     with open(out_path, "wb") as out, open(err_path, "wb") as err:
         child = subprocess.Popen(argv, stdout=out, stderr=err, env=env)
@@ -121,8 +136,7 @@ def run_one(kinds: str, n: int, m: int, timeout: float, tmp: str) -> tuple[dict,
         finally:
             timer.cancel()
     timed_out = code == -signal.SIGKILL and wall >= timeout
-    record = {
-        "kind": kinds, "n": n, "m": m,
+    sample = {
         "wall_s": round(wall, 4),
         "peak_rss_mb": _child_peak_mb(err_path),
         "exit_code": code,
@@ -132,8 +146,46 @@ def run_one(kinds: str, n: int, m: int, timeout: float, tmp: str) -> tuple[dict,
     }
     if code and not timed_out:
         with open(err_path, errors="replace") as fh:
-            record["stderr_tail"] = fh.read()[-400:]
-    return record, out_path
+            sample["stderr_tail"] = fh.read()[-400:]
+    return sample
+
+
+def plan(smoke: bool) -> list:
+    """(record head, CLI argvs of its process) for every run, in order."""
+    runs = []
+    for n, m in SMOKE_SIZES if smoke else SIZES:
+        flags = ["-n", str(n), "-m", str(m), "--no-cache", "--format", "json"]
+        for kinds in (*KINDS, ALL_KINDS):
+            runs.append(({"kind": kinds, "n": n, "m": m},
+                         [["matrix", "--kind", kind, *flags] for kind in kinds]))
+    for suite, n, max_m in SMOKE_VERIFY_PLAN if smoke else VERIFY_PLAN:
+        runs.append(({"suite": suite, "n": n, "max_m": max_m},
+                     [["verify", "--suite", suite, "-n", str(n), "--max-m", str(max_m)]]))
+    return runs
+
+
+def summary(head: dict, samples: list) -> dict:
+    """The record of one run from its samples: median wall time and peak RSS,
+    the first failure, and the first sample's stdout."""
+    walls = [s["wall_s"] for s in samples]
+    peaks = [s["peak_rss_mb"] for s in samples if s["peak_rss_mb"] is not None]
+    failed = [s for s in samples if s["exit_code"]]
+    record = {
+        **head,
+        "repeats": len(samples),
+        "wall_s": statistics.median(walls),
+        "wall_s_min": min(walls),
+        "wall_s_max": max(walls),
+        "peak_rss_mb": statistics.median(peaks) if peaks else None,
+        "exit_code": failed[0]["exit_code"] if failed else 0,
+        "timed_out": any(s["timed_out"] for s in samples),
+        "stdout_bytes": samples[0]["stdout_bytes"],
+        "stdout_sha256": samples[0]["stdout_sha256"],
+        "stdouts_equal": len({s["stdout_sha256"] for s in samples}) == 1,
+    }
+    if failed and "stderr_tail" in failed[0]:
+        record["stderr_tail"] = failed[0]["stderr_tail"]
+    return record
 
 
 def main(argv=None) -> int:
@@ -141,31 +193,41 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=os.path.dirname(os.path.abspath(__file__)),
                         help="directory for the BENCH file (default: benchmarks/)")
     parser.add_argument("--smoke", action="store_true",
-                        help=f"tiny sizes {SMOKE_SIZES} only")
+                        help=f"tiny sizes {SMOKE_SIZES} and the smoke verify plan only")
     args = parser.parse_args(argv)
     revision = _git("rev-parse", "HEAD") or "unknown"
-    runs = []
+    runs = plan(args.smoke)
+    samples: list = [[] for _ in runs]
+    equal_to_singles = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for n, m in SMOKE_SIZES if args.smoke else SIZES:
-            outs = []
-            for kinds in (*KINDS, ALL_KINDS):
-                record, out_path = run_one(kinds, n, m, TIMEOUT_S, tmp)
-                if kinds == ALL_KINDS:
-                    record["equals_single_runs"] = record["stdout_sha256"] == _sha256(*outs)
-                outs.append(out_path)
-                runs.append(record)
-                print(json.dumps(record), file=sys.stderr)
+        err_path = os.path.join(tmp, "stderr")
+        for rnd in range(REPEATS):
+            for i, (head, argvs) in enumerate(runs):
+                if rnd and samples[i][0]["wall_s"] >= SUB_SECOND_S:
+                    continue
+                out_path = os.path.join(tmp, f"{i}.out")
+                samples[i].append(run_one(argvs, TIMEOUT_S, out_path, err_path))
+                print(json.dumps({**head, **samples[i][-1]}), file=sys.stderr)
+                if not rnd and head.get("kind") == ALL_KINDS:
+                    singles = [os.path.join(tmp, f"{j}.out") for j in range(i - len(KINDS), i)]
+                    equal_to_singles[i] = samples[i][0]["stdout_sha256"] == _sha256(*singles)
+    records = [summary(head, s) for (head, _), s in zip(runs, samples)]
+    for i, same in equal_to_singles.items():
+        records[i]["equals_single_runs"] = same
     doc = {
         "revision": revision,
         "src_modified": bool(_git("status", "--porcelain", "--", "src")),
         "python": platform.python_version(),
         "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs",
-        "command": "matrix --kind K -n N -m M --no-cache --format json, for each kind K of the run",
+        "command": "one process per run: matrix --kind K -n N -m M --no-cache --format json, "
+                   "for each kind K of the run, or verify --suite SUITE -n N --max-m MAX_M",
         "child": CHILD,
         "peak_rss": "VmHWM of the child at exit",
         "timeout_s": TIMEOUT_S,
+        "repeats": f"{REPEATS} samples for a run under {SUB_SECOND_S} s, else 1; "
+                   "wall_s and peak_rss_mb are medians",
         "driver_peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        "runs": runs,
+        "runs": records,
     }
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"BENCH_{revision[:7]}.json")
@@ -173,7 +235,10 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     print(path)
-    ok = all(r["exit_code"] == 0 and r.get("equals_single_runs", True) for r in runs)
+    ok = all(
+        r["exit_code"] == 0 and r["stdouts_equal"] and r.get("equals_single_runs", True)
+        for r in records
+    )
     return 0 if ok else 1
 
 

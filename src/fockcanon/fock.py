@@ -3,13 +3,16 @@
 Basis vectors are indexed by partitions.  The Chevalley action is computed
 combinatorially on partitions: f_i and e_i are one loop, ``node_sums``,
 which the bar images of the wedge layer share for f_i.  The Heisenberg
-generators and the bar involution are delegated to the wedge layer.  The
+generators and the bar involution are linear maps over the images of basis
+vectors that the wedge layer keeps (wedge.b_basis, wedge.bar_basis).  The
 ribbon operators S_alpha come in two independent implementations: the
 combinatorial strip sums (v_op / u_op, s_alpha) and the character expansion
-through wedge straightening (s_alpha_via_characters), which doubles as an
-oracle; the exponential-formula oracle for V_k = S_(k), v_op_via_heisenberg,
-is the character oracle at (k).  Its rational weights are scaled to integer
-class sizes, so all arithmetic stays in Z[q, 1/q].
+through B_k (s_alpha_via_characters), which doubles as an oracle; the
+exponential-formula oracle for V_k = S_(k), v_op_via_heisenberg, is the
+character oracle at (k).  Its rational weights are scaled to integer class
+sizes, so all arithmetic stays in Z[q, 1/q].  Chains of operators, the B_k
+of the oracle and the V_k of psi_q, run on sparse {exponent: int} sums,
+which become LaurentPoly values once, at the end.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from math import factorial
 
 from . import symfunc, wedge
-from .laurent import ONE, LaurentPoly, add_product, add_shifted, collect, divide_exact
+from .laurent import ONE, LaurentPoly, add_column, add_product, add_shifted, collect, divide_exact
 from .partitions import (
     Partition,
     add_node_variants,
@@ -171,15 +174,25 @@ def weight_exponents(p: Partition, n: int) -> tuple[tuple[int, ...], int]:
 # -- Heisenberg / ribbon operators --------------------------------------------
 
 
-def b_action(k: int, v: FockVector, n: int) -> FockVector:
-    """Heisenberg generator B_k through the wedge picture.  B_k lowers the
-    degree by kn, so a term |p> with |p| < kn maps to 0 and is not straightened."""
-    wv = {}
-    for p, c in v.items():
+def _sparse(v: FockVector) -> dict:
+    return {p: dict(c.terms()) for p, c in v.items()}
+
+
+def _b_sums(k: int, terms: dict, n: int) -> dict:
+    """{partition: {exponent: int}}: B_k on terms, an {exponent: int} sum per
+    partition, as a linear map over the images wedge.b_basis keeps, each added
+    by laurent.add_column.  B_k lowers the degree by kn, so a term |p> with
+    |p| < kn maps to 0 and is not straightened."""
+    sums: dict = {}
+    for p, c in terms.items():
         if sum(p) >= k * n:
-            wv[wedge.minimal_head(wedge.partition_to_word(p, len(p)))] = c
-    out = wedge.b_action_words(k, wv, n)
-    return FockVector({wedge.word_to_partition(w): c for w, c in out.items()})
+            add_column(sums, wedge.b_basis(k, p, n), c.items())
+    return sums
+
+
+def b_action(k: int, v: FockVector, n: int) -> FockVector:
+    """Heisenberg generator B_k through the wedge picture (_b_sums)."""
+    return FockVector(collect(_b_sums(k, _sparse(v), n)))
 
 
 def _strip_sums(strips, above: bool, k: int, terms: dict, n: int) -> dict:
@@ -197,10 +210,6 @@ def _strip_sums(strips, above: bool, k: int, terms: dict, n: int) -> dict:
     return sums
 
 
-def _sparse(v: FockVector) -> dict:
-    return {p: dict(c.terms()) for p, c in v.items()}
-
-
 def v_op(k: int, v: FockVector, n: int) -> FockVector:
     """Ribbon analogue of multiplication by the degree-k complete function:
     V_k |lam> = sum (-1)^h q^{-h} |mu> over horizontal strips of weight k."""
@@ -210,21 +219,6 @@ def v_op(k: int, v: FockVector, n: int) -> FockVector:
 def u_op(k: int, v: FockVector, n: int) -> FockVector:
     """Adjoint of v_op: strip removal with the same signed coefficients."""
     return FockVector(collect(_strip_sums(ribbon_strips_below, False, k, _sparse(v), n)))
-
-
-def _chain_sum(chains, op, v: FockVector, n: int) -> FockVector:
-    """sum over (parts, weight) in chains of weight * op(parts[-1], ...
-    op(parts[0], v)); chains of weight 0 are not applied."""
-    sums: dict = {}
-    for parts, weight in chains:
-        if not weight:
-            continue
-        term = v
-        for part in parts:
-            term = op(part, term, n)
-        for p, c in term.items():
-            add_shifted(sums.setdefault(p, {}), c.terms(), 0, weight)
-    return FockVector(collect(sums))
 
 
 def v_op_via_heisenberg(k: int, v: FockVector, n: int) -> FockVector:
@@ -287,17 +281,25 @@ def s_alpha_via_characters(alpha: Partition, v: FockVector, n: int) -> FockVecto
     by r! is exact or raises NonIntegralResultError.
     """
     d = factorial(sum(alpha))
-    chains = []
+    start, sums = _sparse(v), {}
     for beta in partitions_of(sum(alpha)):
         weight = symfunc.mn_character(alpha, beta) * (d // symfunc.z_order(beta))
-        chains.append((tuple(-part for part in beta), weight))
-    out = _chain_sum(chains, b_action, v, n)
-    return FockVector({p: divide_exact(c, d) for p, c in out.items()})
+        if not weight:
+            continue
+        term = start
+        for part in beta:
+            term = _b_sums(-part, term, n)
+        for p, c in term.items():
+            add_shifted(sums.setdefault(p, {}), c.items(), 0, weight)
+    return FockVector({p: divide_exact(c, d) for p, c in collect(sums).items()})
 
 
 def psi_q(p: Partition, n: int) -> FockVector:
     """Highest-weight vector V_{p_1} V_{p_2} ... V_{p_r} |0>."""
-    return _chain_sum([(reversed(p), 1)], v_op, FockVector.basis(()), n)
+    terms = {(): {0: 1}}
+    for k in reversed(p):
+        terms = _strip_sums(ribbon_strips_above, True, k, terms, n)
+    return FockVector(collect(terms))
 
 
 def inner_product(u: FockVector, v: FockVector) -> LaurentPoly:

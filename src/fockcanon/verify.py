@@ -283,6 +283,7 @@ def run_ribbon(n: int, max_m: int) -> Report:
     ok = True
     bounds_ok = True
     for m in range(min(max_m, 6) + 1):
+        above = [(mu, diagram(mu)) for mu in partitions_of(m + n)]
         for lam in partitions_of(m):
             for k in (1, 2):
                 for strip in ribbon_strips_above(lam, n, k):
@@ -293,11 +294,12 @@ def run_ribbon(n: int, max_m: int) -> Report:
                 (s.target, s.height) for s in ribbon_strips_above(lam, n, 1)
             }
             want = set()
-            for mu in partitions_of(m + n):
-                cells = diagram(mu) - diagram(lam)
-                if len(cells) != n or not _connected(cells) or _has_square(cells):
+            cells_lam = diagram(lam)
+            for mu, cells_mu in above:
+                if not cells_lam <= cells_mu:
                     continue
-                if not diagram(lam) <= diagram(mu):
+                cells = cells_mu - cells_lam
+                if len(cells) != n or not _connected(cells) or _has_square(cells):
                     continue
                 want.add((mu, len({r for r, _ in cells}) - 1))
             if got != want:

@@ -6,7 +6,9 @@ basis vector attached to a partition has i_k = lambda_k - k + 1.  All
 straightening goes through the kernel in ``_straighten_py``, memoized on the
 finite word up to a shift: the exchange rule reads only differences of
 entries.  ``straighten`` extends a head far enough that its tail can be left
-out; B_k straightens only the window of entries its moved entry passes.
+out; B_k straightens only the window of entries its moved entry passes, and
+the image B_k|p> of a basis vector is computed once (``b_basis``) and kept,
+like the bar images, until ``clear_caches``.
 
 A WedgeVector is a plain dict mapping normally ordered words to LaurentPoly
 coefficients; bar images of basis vectors come out keyed by partitions so the
@@ -104,12 +106,15 @@ def extend_head(w: Word, K: int) -> Word:
 
 _straighten_cache: dict[tuple[int, Word], tuple] = {}
 _bar_images: dict[tuple[int, Partition], dict[Partition, LaurentPoly]] = {}
+_b_images: dict[tuple[int, int, Partition], tuple] = {}
 
 
 def clear_caches() -> None:
-    """Drop the straightening memo, the bar images and the node rows."""
+    """Drop the four memos: straightening, the bar images, the B_k images and
+    the node rows."""
     _straighten_cache.clear()
     _bar_images.clear()
+    _b_images.clear()
     node_row.cache_clear()
 
 
@@ -187,6 +192,18 @@ def b_action_words(k: int, wv: dict, n: int) -> dict:
                 key = minimal_head(left + res + right)
                 add_product(sums.setdefault(key, {}), coeff, poly)
     return collect(sums)
+
+
+def b_basis(k: int, p: Partition, n: int) -> tuple:
+    """B_k|p> as (partition, pairs) terms, pairs being a coefficient's
+    (exponent, coefficient) pairs: b_action_words on the word of p, computed
+    once and kept in _b_images until clear_caches."""
+    key = (n, k, p)
+    image = _b_images.get(key)
+    if image is None:
+        out = b_action_words(k, {minimal_head(partition_to_word(p, len(p))): ONE}, n)
+        image = _b_images[key] = tuple((word_to_partition(w), c.terms()) for w, c in out.items())
+    return image
 
 
 def _unitriangular(lam: Partition, col: dict, how: str) -> dict:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from fockcanon import fock, symfunc
+from fockcanon import fock, symfunc, wedge
 from fockcanon.fock import FockVector
 from fockcanon.laurent import LaurentPoly, NonIntegralResultError, ZERO, q_int
 from fockcanon.partitions import partition_label, partitions_of, revlex_order
@@ -87,6 +87,33 @@ def test_v_op_heisenberg_oracle():
                 for lam in partitions_of(m):
                     v = basis(lam)
                     assert fock.v_op(k, v, n) == fock.v_op_via_heisenberg(k, v, n)
+
+
+def test_exponential_formula_computes_each_b_image_once(monkeypatch):
+    # every (k, p) the chains B_{-beta} reach from |lam>, beta a partition of 3
+    lam, n = (2, 1), 3
+    reached = set()
+    for beta in partitions_of(3):
+        v = basis(lam)
+        for part in beta:
+            reached |= {(-part, p) for p in v.terms}
+            v = fock.b_action(-part, v, n)
+    calls = []
+    real = wedge.b_action_words
+
+    def counted(k, wv, n):
+        (word,) = wv
+        calls.append((k, wedge.word_to_partition(word)))
+        return real(k, wv, n)
+
+    wedge.clear_caches()
+    monkeypatch.setattr(wedge, "b_action_words", counted)
+    try:
+        fock.v_op_via_heisenberg(3, basis(lam), n)
+    finally:
+        wedge.clear_caches()
+    assert len(calls) == len(set(calls))
+    assert set(calls) == reached
 
 
 def test_v_ops_commute():

@@ -135,6 +135,73 @@ def test_b_action_windows_match_moved_words():
                     ), (n, k, lam)
 
 
+def _word(lam):
+    return wedge.minimal_head(wedge.partition_to_word(lam, len(lam)))
+
+
+def test_b_basis_is_b_action_words_on_the_basis_word():
+    # one warm memo across n and the sign of k: a key that left out either
+    # would hand back another image
+    wedge.clear_caches()
+    try:
+        for n in (2, 3, 4):
+            for k in (1, -1, 2, -2, 3, -3):
+                for m in range(8):
+                    for lam in partitions_of(m):
+                        want = wedge.b_action_words(k, {_word(lam): Q(1)}, n)
+                        got = wedge.b_basis(k, lam, n)
+                        assert len(got) == len(want)
+                        assert dict(got) == {
+                            wedge.word_to_partition(w): c.terms() for w, c in want.items()
+                        }, (n, k, lam)
+    finally:
+        wedge.clear_caches()
+
+
+def test_b_action_reads_the_images_until_clear_caches(monkeypatch):
+    v = fock.FockVector({(3, 1): P({-1: 2, 2: -1}), (2,): Q(1)})
+    wedge.clear_caches()
+    warm = fock.b_action(-2, v, 3)
+    wedge.bar_basis((2, 2), 3)
+    fock.f_action(0, v, 3)
+    assert wedge._straighten_cache and wedge._bar_images and wedge._b_images
+    assert node_row.cache_info().currsize
+
+    def refuse(k, wv, n):
+        raise AssertionError("a stored B_k image was computed again")
+
+    monkeypatch.setattr(wedge, "b_action_words", refuse)
+    assert fock.b_action(-2, v, 3) == warm
+    wedge.clear_caches()
+    assert wedge._straighten_cache == wedge._bar_images == wedge._b_images == {}
+    assert node_row.cache_info().currsize == 0
+    with pytest.raises(AssertionError, match="computed again"):
+        fock.b_action(-2, v, 3)
+
+
+def test_b_images_are_unchanged_by_multi_term_coefficients():
+    wedge.clear_caches()
+    try:
+        lam, n = (2, 1), 2
+        images = {k: wedge.b_basis(k, lam, n) for k in (-1, 1)}
+        before = {k: [(p, list(pairs)) for p, pairs in image] for k, image in images.items()}
+        c = P({-2: 3, 0: -1, 1: 2})
+        v = fock.FockVector({lam: c, (1,): Q(-1, 1)})
+        for k in (-1, 1):
+            got = fock.b_action(k, v, n)
+            words = {_word(p): coeff for p, coeff in v.items()}
+            want = wedge.b_action_words(k, words, n)
+            assert got == fock.FockVector(
+                {wedge.word_to_partition(w): coeff for w, coeff in want.items()}
+            )
+            assert fock.b_action(k, v, n) == got
+        for k, image in images.items():
+            assert wedge.b_basis(k, lam, n) is image
+            assert [(p, list(pairs)) for p, pairs in image] == before[k]
+    finally:
+        wedge.clear_caches()
+
+
 def test_straighten_memo_is_up_to_a_shift(monkeypatch):
     calls = []
     real = _kernel.straighten_terms
