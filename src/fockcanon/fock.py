@@ -11,7 +11,8 @@ through B_k (s_alpha_via_characters), which doubles as an oracle; the
 exponential-formula oracle for V_k = S_(k), v_op_via_heisenberg, is the
 character oracle at (k).  Its rational weights are scaled to integer class
 sizes, so all arithmetic stays in Z[q, 1/q].  Chains of operators, the B_k
-of the oracle and the V_k of psi_q, run on sparse {exponent: int} sums,
+of the oracle, the V_k of psi_q and the minors of S_alpha (``s_sums``, which
+the S-step of the wedge layer calls), run on sparse {exponent: int} sums,
 which become LaurentPoly values once, at the end.
 """
 
@@ -123,17 +124,14 @@ class FockVector:
 
 
 def _coeff_str(c) -> tuple[str, int]:
-    """Render a coefficient for ket display; returns (body, sign)."""
-    terms = list(c.terms())
-    if len(terms) == 1:
-        e, a = terms[0]
-        sign = -1 if a < 0 else 1
-        a = abs(a)
-        if e == 0:
-            return ("" if a == 1 else str(a)), sign
-        mono = "q" if e == 1 else f"q^{e}"
-        return (mono if a == 1 else f"{a}{mono}"), sign
-    return f"({c.pretty()})", 1
+    """Render a coefficient for ket display; returns (body, sign).  A
+    monomial is its LaurentPoly.pretty form less the sign, with a bare 1 left
+    out; a longer coefficient is parenthesised, with sign 1."""
+    text = c.pretty()
+    if len(c.terms()) > 1:
+        return f"({text})", 1
+    body = text.lstrip("-")
+    return ("" if body == "1" else body), (-1 if text[0] == "-" else 1)
 
 
 # -- Chevalley action ---------------------------------------------------------
@@ -235,20 +233,26 @@ def v_op_via_heisenberg(k: int, v: FockVector, n: int) -> FockVector:
 
 def s_alpha(alpha: Partition, v: FockVector, n: int) -> FockVector:
     """Ribbon analogue of multiplication by the Schur function s_alpha: the
-    Jacobi-Trudi determinant det(V_{alpha_i - i + j}) applied to v.
+    Jacobi-Trudi determinant det(V_{alpha_i - i + j}) applied to v (s_sums).
+    alpha must be a partition."""
+    return FockVector(collect(s_sums(alpha, _sparse(v), n)))
 
-    alpha must be a partition.  The determinant is expanded along its first
-    column, recursively.  The V_k commute, so the minor on a row set R, taken
-    with the last |R| columns, is one sparse vector; each is computed once per
-    call and kept by R.  Down a column alpha_i - i + j falls, so its first
-    negative entry (zero in the determinant) ends the scan.  V_0 is the
-    identity and walks no strips.  The first entry of a column is at least
-    its part of alpha, so it walks strips, and the other terms are added into
-    that fresh sum: a kept minor is never written to.  Partitions whose
-    coefficients cancel are dropped from each minor, so no strip walk starts
-    from them."""
+
+def s_sums(alpha: Partition, terms: dict, n: int) -> dict:
+    """{partition: {exponent: int}}: S_alpha on terms, an {exponent: int} sum
+    per partition, which is read and never written to.
+
+    The determinant is expanded along its first column, recursively.  The
+    V_k commute, so the minor on a row set R, taken with the last |R|
+    columns, is one sparse sum; each is computed once per call and kept by
+    R.  Down a column alpha_i - i + j falls, so its first negative entry
+    (zero in the determinant) ends the scan.  V_0 is the identity and walks
+    no strips.  The first entry of a column is at least its part of alpha,
+    so it walks strips, and the other terms are added into that fresh sum: a
+    kept minor is never written to.  Partitions whose coefficients cancel
+    are dropped from each minor, so no strip walk starts from them."""
     ell = len(alpha)
-    minors: dict = {(): _sparse(v)}
+    minors: dict = {(): terms}
 
     def minor(rows: tuple) -> dict:
         if rows in minors:
@@ -269,7 +273,7 @@ def s_alpha(alpha: Partition, v: FockVector, n: int) -> FockVector:
         minors[rows] = out = {p: c for p, c in out.items() if any(c.values())}
         return out
 
-    return FockVector(collect(minor(tuple(range(ell)))))
+    return minor(tuple(range(ell)))
 
 
 def s_alpha_via_characters(alpha: Partition, v: FockVector, n: int) -> FockVector:

@@ -14,8 +14,9 @@ immutable values: ``add_product`` adds a*b in place into a sparse
 {exponent: int} dict, ``add_shifted`` adds a value times c*q^s for an integer
 c (all that f_i, e_i and the ribbon operators multiply by), ``add_column``
 adds a column of values times one value into a table of such dicts, and
-``collect`` turns a table into LaurentPoly values once.  No other module
-adds into such a sum by hand.
+``collect`` turns a table into LaurentPoly values once.  The one other
+module that adds into such a sum by hand is the straightening kernel
+(``_straighten_py._add_product`` and ``_product``), on its own dicts.
 """
 
 from __future__ import annotations

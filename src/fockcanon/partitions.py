@@ -191,10 +191,11 @@ def node_row(p: Partition, n: int) -> tuple:
     return step, tuple(variants)
 
 
-def add_node_variants(p: Partition, i: int, n: int) -> list[tuple[Partition, int]]:
+def add_node_variants(p: Partition, i: int, n: int) -> tuple[tuple[Partition, int], ...]:
     """All (mu, N_i^r) with mu/p a single i-node b: N_i^r is the number of
-    addable minus removable i-nodes of p to the right of b (see node_row)."""
-    return list(node_row(p, n)[1][i]) if 0 <= i < n else []
+    addable minus removable i-nodes of p to the right of b.  This is the
+    stored tuple of p's row (see node_row)."""
+    return node_row(p, n)[1][i] if 0 <= i < n else ()
 
 
 def remove_node_variants(p: Partition, i: int, n: int) -> list[tuple[Partition, int]]:

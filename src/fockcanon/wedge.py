@@ -10,16 +10,17 @@ out; B_k straightens only the window of entries its moved entry passes, and
 the image B_k|p> of a basis vector is computed once (``b_basis``) and kept,
 like the bar images, until ``clear_caches``.
 
-A WedgeVector is a plain dict mapping normally ordered words to LaurentPoly
-coefficients; bar images of basis vectors come out keyed by partitions so the
-bosonic layer can consume them directly.
+The layer works on basis vectors only, as the bar involution and B_k are
+defined on single wedges: both take one partition and give its image keyed
+by partitions, which the fock module extends (semi-)linearly.  Sums pass to
+fock as sparse {partition: {exponent: int}} dicts, never as vectors.
 
 Bar images come by three routes, tried in this order (see ``bar_basis``):
   f-step: bar(f_i v) = f_i bar(v) for a partition reached by a Chevalley step
     f_i from one degree lower, every other term of that step lex-smaller;
   S-step: bar(S_alpha v) = S_alpha bar(v) for a partition lam whose conjugate
     is n-singular, so that lam = mu + n*alpha and S_alpha|mu> is +-|lam> plus
-    lex-smaller terms; S_alpha is the ribbon operator of the fock module;
+    lex-smaller terms; S_alpha is applied by ``fock.s_sums``;
   row step: for the n-restricted rest, such as (1,1,1,1) for n=2 or
     (3,3,3,1) for n=3, bar|lam> is the reversal of the word of lam, which
     is the reversal of the word of lam[1:] with lam_1 appended: the image
@@ -32,10 +33,10 @@ Images are built in runs (``_build``): ``bar_basis`` starts one for a single
 missing image, ``bar_degree`` one for every missing image of a degree, which
 is how the A matrix and the canonical bases ask for them.  The f-steps read
 ``partitions.node_row``, the memoized row of a partition that holds its
-f-step and its f_i for every residue i, for the partitions they reach and
-for the terms of the images they lift, so each partition's rim is scanned
-once until ``clear_caches``; ``fock.f_action`` reads the same rows, and
-f_i on an image is fock's f_i loop.
+f-step and its f_i for every residue i (``add_node_variants``), for the
+partitions they reach and for the terms of the images they lift, so each
+partition's rim is scanned once until ``clear_caches``; ``fock.f_action``
+reads the same rows, and f_i on an image is fock's f_i loop.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .laurent import ONE, LaurentPoly, add_product, add_shifted, collect
 from .partitions import (
     NotApplicableError,
     Partition,
+    add_node_variants,
     node_row,
     revlex_order,
     steinberg_decompose,
@@ -151,12 +153,13 @@ def straighten(head, n: int) -> dict[Word, LaurentPoly]:
     }
 
 
-def b_action_words(k: int, wv: dict, n: int) -> dict:
-    """Heisenberg generator B_k on a WedgeVector.
+def b_action_words(k: int, p: Partition, n: int) -> tuple:
+    """Heisenberg generator B_k on the basis wedge of p, as (partition,
+    pairs) terms, pairs being a coefficient's (exponent, coefficient) pairs.
 
     B_{-k} (k > 0) raises degree by adding kn to one head entry in all ways;
     B_k lowers it by subtracting kn.  Deep-tail modifications reduce to zero,
-    so positions beyond (minimal head length + kn) never contribute.
+    so positions beyond (head length + kn) never contribute.
 
     The moved entry v of a normally ordered word only has to pass the entries
     strictly between its old and new value: left of it for B_{-k}, right of
@@ -168,41 +171,37 @@ def b_action_words(k: int, wv: dict, n: int) -> dict:
         raise ValueError("k must be nonzero")
     shift = abs(k) * n
     delta = shift if k < 0 else -shift
+    base = partition_to_word(p, len(p))  # a minimal head: every part is positive
+    span = len(base) + shift
+    # deep enough for B_k: w[j + shift] <= w[j] - shift for every j < span,
+    # so the scan to the right stops inside w
+    w = extend_head(base, span + shift)
     sums: dict = {}
-    for word, coeff in wv.items():
-        base = minimal_head(word)
-        span = len(base) + shift
-        # deep enough for B_k: w[j + shift] <= w[j] - shift for every j < span,
-        # so the scan to the right stops inside w
-        w = extend_head(base, span + shift)
-        for j in range(span):
-            v = w[j] + delta
-            lo, hi = j, j + 1
-            if delta > 0:
-                while lo and w[lo - 1] < v:
-                    lo -= 1
-            else:
-                while w[hi] > v:
-                    hi += 1
-            left, right = w[:lo], base[hi:]  # w[len(base):] is tail
-            window = w[lo:j] + (v,) + w[j + 1 : hi]
-            for res, poly in _straighten_minimal(window, n):
-                if (lo and w[lo - 1] == res[0]) or w[hi] == res[-1]:
-                    continue
-                key = minimal_head(left + res + right)
-                add_product(sums.setdefault(key, {}), coeff, poly)
-    return collect(sums)
+    for j in range(span):
+        v = w[j] + delta
+        lo, hi = j, j + 1
+        if delta > 0:
+            while lo and w[lo - 1] < v:
+                lo -= 1
+        else:
+            while w[hi] > v:
+                hi += 1
+        left, right = w[:lo], base[hi:]  # w[len(base):] is tail
+        window = w[lo:j] + (v,) + w[j + 1 : hi]
+        for res, poly in _straighten_minimal(window, n):
+            if (lo and w[lo - 1] == res[0]) or w[hi] == res[-1]:
+                continue
+            add_shifted(sums.setdefault(minimal_head(left + res + right), {}), poly.terms())
+    return tuple((word_to_partition(word), c.terms()) for word, c in collect(sums).items())
 
 
 def b_basis(k: int, p: Partition, n: int) -> tuple:
-    """B_k|p> as (partition, pairs) terms, pairs being a coefficient's
-    (exponent, coefficient) pairs: b_action_words on the word of p, computed
-    once and kept in _b_images until clear_caches."""
+    """B_k|p> as b_action_words gives it, computed once and kept in
+    _b_images until clear_caches."""
     key = (n, k, p)
     image = _b_images.get(key)
     if image is None:
-        out = b_action_words(k, {minimal_head(partition_to_word(p, len(p))): ONE}, n)
-        image = _b_images[key] = tuple((word_to_partition(w), c.terms()) for w, c in out.items())
+        image = _b_images[key] = b_action_words(k, p, n)
     return image
 
 
@@ -212,12 +211,6 @@ def _unitriangular(lam: Partition, col: dict, how: str) -> dict:
     if col.get(lam) != ONE or any(nu > lam for nu in col):
         raise AssertionError(f"bar|{lam}> built through {how} is not unitriangular")
     return col
-
-
-def _f_row(p: Partition, i: int, n: int) -> tuple:
-    """The f_i variants of p, straight from its node row: add_node_variants
-    copies the row, and perfbench counts its calls as f_i's own."""
-    return node_row(p, n)[1][i]
 
 
 def _f_column(lam: Partition, n: int, i: int, mu: Partition) -> dict[Partition, LaurentPoly]:
@@ -231,8 +224,8 @@ def _f_column(lam: Partition, n: int, i: int, mu: Partition) -> dict[Partition, 
     and each correction is added by laurent.add_shifted.  Every image used
     must already be in _bar_images.
     """
-    sums = fock.node_sums(_f_row, 1, i, _bar_images[(n, mu)], n)
-    for target, e_a in _f_row(mu, i, n):
+    sums = fock.node_sums(add_node_variants, 1, i, _bar_images[(n, mu)], n)
+    for target, e_a in add_node_variants(mu, i, n):
         if target == lam:
             continue
         for nu, c in _bar_images[(n, target)].items():
@@ -248,7 +241,7 @@ def _s_step(lam: Partition, n: int):
         mu, alpha = steinberg_decompose(lam, n)
     except NotApplicableError:
         return None
-    top = fock.s_alpha(alpha, fock.FockVector.basis(mu), n).terms
+    top = collect(fock.s_sums(alpha, {mu: {0: 1}}, n))
     if top.get(lam) not in (ONE, -ONE) or any(nu > lam for nu in top):
         raise AssertionError(f"S_{alpha}|{mu}> is not +-|{lam}> plus lex-smaller terms")
     return alpha, mu, top
@@ -264,13 +257,10 @@ def _s_column(
     is top plus S_alpha of those terms.  Every image used must already be in
     _bar_images.
     """
-    below_mu = {x: c for x, c in _bar_images[(n, mu)].items() if x != mu}
-    image = fock.s_alpha(alpha, fock.FockVector(below_mu), n).terms if below_mu else {}
-    sums: dict[Partition, dict[int, int]] = {}
-    for part in (top, image):
-        for nu, s in part.items():
-            add_shifted(sums.setdefault(nu, {}), s.terms())
+    below_mu = {x: dict(c.terms()) for x, c in _bar_images[(n, mu)].items() if x != mu}
+    sums = fock.s_sums(alpha, below_mu, n)
     for nu, s in top.items():
+        add_shifted(sums.setdefault(nu, {}), s.terms())
         if nu != lam:
             scale = -s.bar()
             for y, c in _bar_images[(n, nu)].items():
@@ -357,7 +347,7 @@ def _build(targets, n: int) -> None:
         if build is None:
             if (f_step := node_row(lam, n)[0]) is not None:
                 i, mu = f_step
-                needs = (mu, *dict(_f_row(mu, i, n)))
+                needs = (mu, *dict(add_node_variants(mu, i, n)))
                 build = partial(_f_column, lam, n, i, mu)
             elif (s_step := _s_step(lam, n)) is not None:
                 alpha, mu, top = s_step

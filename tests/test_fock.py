@@ -101,10 +101,9 @@ def test_exponential_formula_computes_each_b_image_once(monkeypatch):
     calls = []
     real = wedge.b_action_words
 
-    def counted(k, wv, n):
-        (word,) = wv
-        calls.append((k, wedge.word_to_partition(word)))
-        return real(k, wv, n)
+    def counted(k, p, n):
+        calls.append((k, p))
+        return real(k, p, n)
 
     wedge.clear_caches()
     monkeypatch.setattr(wedge, "b_action_words", counted)

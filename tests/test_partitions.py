@@ -83,10 +83,12 @@ def test_node_counts_sum_is_one():
 
 
 def test_add_node_variants_examples():
-    assert pt.add_node_variants((1,), 1, 2) == [((2,), 0), ((1, 1), 1)]
-    assert pt.add_node_variants((1,), 0, 2) == []
-    assert pt.add_node_variants((), 0, 2) == [((1,), 0)]
-    assert pt.add_node_variants((1,), 2, 2) == [] == pt.add_node_variants((1,), -1, 2)
+    assert pt.add_node_variants((1,), 1, 2) == (((2,), 0), ((1, 1), 1))
+    assert pt.add_node_variants((1,), 0, 2) == ()
+    assert pt.add_node_variants((), 0, 2) == (((1,), 0),)
+    assert pt.add_node_variants((1,), 2, 2) == () == pt.add_node_variants((1,), -1, 2)
+    # the stored row itself, not a copy
+    assert pt.add_node_variants((1,), 1, 2) is pt.node_row((1,), 2)[1][1]
 
 
 def _addable_cells(p):
@@ -165,7 +167,7 @@ def test_node_variants_match_cell_oracle():
                     )
                 for i in range(n):
                     add, remove = _oracle_variants(lam, i, n)
-                    assert pt.add_node_variants(lam, i, n) == add
+                    assert pt.add_node_variants(lam, i, n) == tuple(add)
                     assert pt.remove_node_variants(lam, i, n) == remove
 
 

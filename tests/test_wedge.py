@@ -79,19 +79,13 @@ def test_nonadjacent_repeat_reduces():
 
 
 def test_b_action_examples():
-    vac = {(): LaurentPoly.monomial(1)}
-    up2 = wedge.b_action_words(-1, vac, 2)
-    assert {wedge.word_to_partition(w): c for w, c in up2.items()} == {
-        (2,): P({0: 1}),
-        (1, 1): P({-1: -1}),
-    }
-    up3 = wedge.b_action_words(-1, vac, 3)
-    assert {wedge.word_to_partition(w): c for w, c in up3.items()} == {
-        (3,): P({0: 1}),
-        (2, 1): P({-1: -1}),
-        (1, 1, 1): P({-2: 1}),
-    }
-    assert wedge.b_action_words(1, vac, 2) == {}
+    assert wedge.b_action_words(-1, (), 2) == (((2,), ((0, 1),)), ((1, 1), ((-1, -1),)))
+    assert wedge.b_action_words(-1, (), 3) == (
+        ((3,), ((0, 1),)),
+        ((2, 1), ((-1, -1),)),
+        ((1, 1, 1), ((-2, 1),)),
+    )
+    assert wedge.b_action_words(1, (), 2) == ()
 
 
 def test_b_action_deep_positions_vanish():
@@ -106,20 +100,28 @@ def test_b_action_deep_positions_vanish():
                 assert wedge.straighten(moved, n) == {}
 
 
-def _b_action_by_moved_words(k: int, wv: dict, n: int) -> dict:
-    """Oracle for b_action_words: straighten every moved word in full."""
+def _b_action_by_moved_words(k: int, p, n: int) -> dict:
+    """Oracle for b_action_words: B_k|p> as {partition: LaurentPoly}, every
+    moved word straightened in full."""
     shift = abs(k) * n
     delta = shift if k < 0 else -shift
     out: dict = {}
-    for word, coeff in wv.items():
-        base = wedge.minimal_head(word)
-        span = len(base) + shift
-        w = wedge.extend_head(base, span + shift)
-        for j in range(span):
-            moved = w[:j] + (w[j] + delta,) + w[j + 1 :]
-            for res, poly in wedge.straighten(moved, n).items():
-                _add(out, res, coeff * poly)
+    base = wedge.partition_to_word(p, len(p))
+    span = len(base) + shift
+    w = wedge.extend_head(base, span + shift)
+    for j in range(span):
+        moved = w[:j] + (w[j] + delta,) + w[j + 1 :]
+        for res, poly in wedge.straighten(moved, n).items():
+            _add(out, wedge.word_to_partition(res), poly)
     return out
+
+
+def _assert_b_image(image, k: int, p, n: int) -> None:
+    """image, a tuple of (partition, pairs) terms, is B_k|p>: each partition
+    once, with the canonical pairs of its coefficient."""
+    want = _b_action_by_moved_words(k, p, n)
+    assert len(image) == len(want), (n, k, p)
+    assert dict(image) == {nu: c.terms() for nu, c in want.items()}, (n, k, p)
 
 
 def test_b_action_windows_match_moved_words():
@@ -129,14 +131,7 @@ def test_b_action_windows_match_moved_words():
         for k in (1, -1, 2, -2, 3, -3):
             for m in range(8):
                 for lam in partitions_of(m):
-                    wv = {wedge.minimal_head(wedge.partition_to_word(lam, len(lam))): Q(2, m)}
-                    assert wedge.b_action_words(k, wv, n) == _b_action_by_moved_words(
-                        k, wv, n
-                    ), (n, k, lam)
-
-
-def _word(lam):
-    return wedge.minimal_head(wedge.partition_to_word(lam, len(lam)))
+                    _assert_b_image(wedge.b_action_words(k, lam, n), k, lam, n)
 
 
 def test_b_basis_is_b_action_words_on_the_basis_word():
@@ -148,12 +143,7 @@ def test_b_basis_is_b_action_words_on_the_basis_word():
             for k in (1, -1, 2, -2, 3, -3):
                 for m in range(8):
                     for lam in partitions_of(m):
-                        want = wedge.b_action_words(k, {_word(lam): Q(1)}, n)
-                        got = wedge.b_basis(k, lam, n)
-                        assert len(got) == len(want)
-                        assert dict(got) == {
-                            wedge.word_to_partition(w): c.terms() for w, c in want.items()
-                        }, (n, k, lam)
+                        _assert_b_image(wedge.b_basis(k, lam, n), k, lam, n)
     finally:
         wedge.clear_caches()
 
@@ -189,11 +179,11 @@ def test_b_images_are_unchanged_by_multi_term_coefficients():
         v = fock.FockVector({lam: c, (1,): Q(-1, 1)})
         for k in (-1, 1):
             got = fock.b_action(k, v, n)
-            words = {_word(p): coeff for p, coeff in v.items()}
-            want = wedge.b_action_words(k, words, n)
-            assert got == fock.FockVector(
-                {wedge.word_to_partition(w): coeff for w, coeff in want.items()}
-            )
+            want: dict = {}
+            for p, coeff in v.items():
+                for nu, poly in _b_action_by_moved_words(k, p, n).items():
+                    _add(want, nu, coeff * poly)
+            assert got == fock.FockVector(want)
             assert fock.b_action(k, v, n) == got
         for k, image in images.items():
             assert wedge.b_basis(k, lam, n) is image
@@ -430,7 +420,8 @@ def test_f_step_top_coefficient_is_one():
 
 @pytest.mark.parametrize("name", ["shifted", "negated"])
 def test_broken_f_step_is_caught(monkeypatch, name):
-    real = wedge.node_row
+    # the row add_node_variants reads; the f-step itself stays the real one
+    real = partitions.node_row
 
     def broken(lam, n):
         step, variants = real(lam, n)
@@ -439,8 +430,7 @@ def test_broken_f_step_is_caught(monkeypatch, name):
             for row in variants
         ]
 
-    broken.cache_clear = real.cache_clear  # so that clear_caches still runs
-    monkeypatch.setattr(wedge, "node_row", broken)
+    monkeypatch.setattr(partitions, "node_row", broken)
     if name == "shifted":
         # N_i^r + 1 breaks the unit diagonal, which the recursion checks
         with pytest.raises(AssertionError, match=r"bar\|\("):
@@ -480,25 +470,58 @@ def test_broken_s_step_is_caught(monkeypatch, name):
     assert (2, (2, 2)) in _recursion_mismatches((2, 3), 7)
 
 
+def _scaled_s_sums(real, scale: int, shift: int):
+    """The sparse S_alpha real, with every result times scale*q^shift."""
+    def scaled(alpha, terms, n):
+        return {
+            p: {e + shift: scale * c for e, c in sums.items()}
+            for p, sums in real(alpha, terms, n).items()
+        }
+    return scaled
+
+
 def test_s_step_with_top_coefficient_minus_one(monkeypatch):
     # -S_alpha also commutes with bar and has top coefficient t = -1, so the
     # images it builds must still match straightening
-    real = wedge.fock.s_alpha
-    monkeypatch.setattr(wedge.fock, "s_alpha", lambda alpha, v, n: -real(alpha, v, n))
+    monkeypatch.setattr(fock, "s_sums", _scaled_s_sums(fock.s_sums, -1, 0))
     assert _recursion_mismatches((2, 3), 7) == []
 
 
 def test_s_step_top_coefficient_must_be_a_sign(monkeypatch):
-    real = wedge.fock.s_alpha
-    monkeypatch.setattr(
-        wedge.fock, "s_alpha", lambda alpha, v, n: real(alpha, v, n).scale(P({1: 1}))
-    )
+    monkeypatch.setattr(fock, "s_sums", _scaled_s_sums(fock.s_sums, 1, 1))
     wedge.clear_caches()
     try:
         with pytest.raises(AssertionError, match=r"S_\(1, 1\)\|\(\)> is not"):
             wedge.bar_basis((2, 2), 2)
     finally:
         wedge.clear_caches()
+
+
+def test_the_wedge_layer_builds_no_vector(monkeypatch):
+    # bar and B_k images come from one partition each, and the S-step hands
+    # fock sparse sums: a cold a_matrix(2, 10), which takes S-steps, and B_k
+    # on a partition run with every FockVector refused
+    class Refused(fock.FockVector):
+        def __init__(self, terms=None):
+            raise AssertionError("the wedge layer built a FockVector")
+
+    s_steps = []
+    real = wedge._s_column
+
+    def counted(lam, *args):
+        s_steps.append(lam)
+        return real(lam, *args)
+
+    monkeypatch.setattr(fock, "FockVector", Refused)
+    monkeypatch.setattr(wedge, "_s_column", counted)
+    wedge.clear_caches()
+    try:
+        a = canonical.a_matrix(2, 10)
+        image = wedge.b_action_words(-2, (3, 1), 2)
+    finally:
+        wedge.clear_caches()
+    assert (2, 2) in s_steps and len(a.entries) > 42
+    _assert_b_image(image, -2, (3, 1), 2)
 
 
 def test_only_case_b_partitions_are_straightened(monkeypatch):
