@@ -13,10 +13,10 @@ plan, it runs the equivalent of
     python -m fockcanon.cli verify --suite SUITE -n N --max-m MAX_M
 
 One run takes the wall time, the peak RSS, the exit code and the SHA-256 of
-stdout of its process.  Every run that took under SUB_SECOND_S is repeated
-until it has REPEATS samples, in rounds over all such runs, so that a drift
-of the machine's speed falls on all of them alike; a longer run (the reach
-sizes) stays a single sample.  A record gives the median wall time with its
+stdout of its process.  Every run is repeated in rounds over all runs, so
+that a drift of the machine's speed falls on all of them alike, until it
+has REPEATS samples if its first took under SUB_SECOND_S, else
+LONG_REPEATS (the reach sizes).  A record gives the median wall time with its
 min and max, the median peak RSS, and whether the stdout digests of its
 samples are equal; an ADEC record also gives whether its stdout is the four
 single runs' stdouts one after the other.  The wall time is taken from the
@@ -27,25 +27,39 @@ exit code -9.
 The results, with the git revision and the Python version, go to
 ``BENCH_<short revision>.json``, whose path is printed.
 
-    python benchmarks/bench.py [--out DIR] [--smoke]
+    python benchmarks/bench.py [--out DIR] [--smoke] [--base REV]
+
+With ``--base REV`` every run is a pair: REV's ``src/``, exported with
+``git archive`` under ``.bench_out/base-<short REV>/``, is the base side and
+this checkout's ``src/`` the change side.  Each sample runs both sides one
+right after the other, the base first in every other sample (alternating
+along the runs and along the repeats), so that both sides of a pair see
+the same speed of the machine; how often a run is repeated goes by the
+slower side's first sample.  A record then holds a summary for each side,
+the per-sample ratios of the change's wall time to the base's with their
+median, and whether both sides printed the same stdout.  The file is
+``BENCH_base-<short REV>.json``.  A file of HEAD against HEAD records the
+null spread of the ratios.
 
 Peak RSS is the child's own VmHWM, which it reads from /proc/self/status at
 exit and writes to stderr (None where there is no /proc).  The child's
 ``ru_maxrss`` cannot serve: on Linux it starts out at the spawning process's
 peak, recorded as ``driver_peak_rss_mb``, and keeps it across the exec.
 BENCH files written before this script read VmHWM hold ``ru_maxrss`` as
-peak_rss_mb; those written before it repeated runs hold one sample per run.
+peak_rss_mb; those written before it repeated runs hold one sample per run,
+and those written before LONG_REPEATS one sample per run of 1 s or more.
 
-Two files from two revisions are comparable run by run: equal stdout digests
-mean equal matrices and equal verify reports.  The exit status is 1 when any
-run failed or timed out, when the samples of a run printed different stdouts,
-or when an ADEC run's stdout differs from its single runs'.
+Equal stdout digests mean equal matrices and equal verify reports.  The
+exit status is 1 when any run failed or timed out, when the samples of a run
+printed different stdouts, when an ADEC run's stdout differs from its single
+runs', or, with ``--base``, when the two sides printed different stdouts.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import platform
@@ -54,6 +68,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import threading
 from time import perf_counter
@@ -70,6 +85,7 @@ SMOKE_SIZES = ((2, 6), (3, 5))
 TIMEOUT_S = 300.0
 SUB_SECOND_S = 1.0
 REPEATS = 5
+LONG_REPEATS = 3
 # the child: `main(argv)` for each CLI argv of the JSON list argv[1], then its VmHWM
 CHILD = """
 import json, sys
@@ -116,15 +132,32 @@ def _child_peak_mb(err_path: str):
     return round(int(marks[-1][1]) / 1024, 1) if marks and len(marks[-1]) == 2 else None
 
 
-def run_one(argvs: list, timeout: float, out_path: str, err_path: str) -> dict:
+def export_base(rev: str) -> tuple[str, str]:
+    """(full revision, its src/ directory): REV's src/ from ``git archive``,
+    extracted once under .bench_out/base-<short REV>/."""
+    full = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    if not full:
+        raise SystemExit(f"bench.py: {rev!r} is not a revision of this repository")
+    out = os.path.join(ROOT, ".bench_out", f"base-{full[:7]}")
+    src = os.path.join(out, "src")
+    if not os.path.isdir(src):
+        os.makedirs(out, exist_ok=True)
+        tar = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", full, "src"],
+                             capture_output=True, check=True).stdout
+        with tempfile.TemporaryDirectory(dir=out) as tmp:
+            with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+                archive.extractall(tmp, filter="data")
+            os.replace(os.path.join(tmp, "src"), src)
+    return full, src
+
+
+def run_one(argvs: list, timeout: float, out_path: str, err_path: str, src: str) -> dict:
     """One fresh CLI process that runs main(argv) for each argv of argvs in
-    turn; stdout and stderr go to files, so a large matrix cannot block on a
-    pipe.  Returns the sample."""
+    turn, importing the package from src; stdout and stderr go to files, so
+    a large matrix cannot block on a pipe.  Returns the sample."""
     argv = [sys.executable, "-c", CHILD, json.dumps(argvs)]
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
-    )
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     t0 = perf_counter()
     with open(out_path, "wb") as out, open(err_path, "wb") as err:
         child = subprocess.Popen(argv, stdout=out, stderr=err, env=env)
@@ -173,6 +206,7 @@ def summary(head: dict, samples: list) -> dict:
     record = {
         **head,
         "repeats": len(samples),
+        "wall_s_samples": walls,
         "wall_s": statistics.median(walls),
         "wall_s_min": min(walls),
         "wall_s_max": max(walls),
@@ -188,35 +222,78 @@ def summary(head: dict, samples: list) -> dict:
     return record
 
 
+def pair(head: dict, base: dict, change: dict) -> dict:
+    """The record of one run with both sides: each side's summary, the
+    per-sample ratios change/base of the wall time and their median, and
+    whether both sides printed the same stdout."""
+    ratios = [round(c / b, 4) for b, c in zip(base["wall_s_samples"], change["wall_s_samples"])]
+    return {
+        **head,
+        "base": base,
+        "change": change,
+        "ratios": ratios,
+        "ratio_median": statistics.median(ratios),
+        "sides_equal": base["stdouts_equal"] and change["stdouts_equal"]
+        and base["stdout_sha256"] == change["stdout_sha256"],
+    }
+
+
+def passed(record: dict) -> bool:
+    return (record["exit_code"] == 0 and record["stdouts_equal"]
+            and record.get("equals_single_runs", True))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=os.path.dirname(os.path.abspath(__file__)),
                         help="directory for the BENCH file (default: benchmarks/)")
     parser.add_argument("--smoke", action="store_true",
                         help=f"tiny sizes {SMOKE_SIZES} and the smoke verify plan only")
+    parser.add_argument("--base", metavar="REV",
+                        help="pair every run with REV's src/, the two sides alternating")
     args = parser.parse_args(argv)
     revision = _git("rev-parse", "HEAD") or "unknown"
+    sides = {"change": os.path.join(ROOT, "src")}
+    if args.base:
+        base_revision, sides["base"] = export_base(args.base)
+    names = sorted(sides)  # base, then change: who goes first alternates
     runs = plan(args.smoke)
-    samples: list = [[] for _ in runs]
-    equal_to_singles = {}
+    samples = {side: [[] for _ in runs] for side in names}
+    equal_to_singles: dict = {side: {} for side in names}
     with tempfile.TemporaryDirectory() as tmp:
         err_path = os.path.join(tmp, "stderr")
         for rnd in range(REPEATS):
             for i, (head, argvs) in enumerate(runs):
-                if rnd and samples[i][0]["wall_s"] >= SUB_SECOND_S:
-                    continue
-                out_path = os.path.join(tmp, f"{i}.out")
-                samples[i].append(run_one(argvs, TIMEOUT_S, out_path, err_path))
-                print(json.dumps({**head, **samples[i][-1]}), file=sys.stderr)
-                if not rnd and head.get("kind") == ALL_KINDS:
-                    singles = [os.path.join(tmp, f"{j}.out") for j in range(i - len(KINDS), i)]
-                    equal_to_singles[i] = samples[i][0]["stdout_sha256"] == _sha256(*singles)
-    records = [summary(head, s) for (head, _), s in zip(runs, samples)]
-    for i, same in equal_to_singles.items():
-        records[i]["equals_single_runs"] = same
+                if rnd:
+                    first = max(samples[side][i][0]["wall_s"] for side in names)
+                    if rnd >= (LONG_REPEATS if first >= SUB_SECOND_S else REPEATS):
+                        continue
+                for side in names if (rnd + i) % 2 == 0 else names[::-1]:
+                    out_path = os.path.join(tmp, f"{side}-{i}.out")
+                    sample = run_one(argvs, TIMEOUT_S, out_path, err_path, sides[side])
+                    samples[side][i].append(sample)
+                    print(json.dumps({**head, "side": side, **sample}), file=sys.stderr)
+                    if not rnd and head.get("kind") == ALL_KINDS:
+                        singles = [os.path.join(tmp, f"{side}-{j}.out")
+                                   for j in range(i - len(KINDS), i)]
+                        equal_to_singles[side][i] = sample["stdout_sha256"] == _sha256(*singles)
+    summaries = {}
+    for side in names:
+        summaries[side] = [summary({} if args.base else head, s)
+                           for (head, _), s in zip(runs, samples[side])]
+        for i, same in equal_to_singles[side].items():
+            summaries[side][i]["equals_single_runs"] = same
+    if args.base:
+        records = [pair(head, b, c) for (head, _), b, c
+                   in zip(runs, summaries["base"], summaries["change"])]
+        ok = all(passed(r["base"]) and passed(r["change"]) and r["sides_equal"] for r in records)
+    else:
+        records = summaries["change"]
+        ok = all(passed(r) for r in records)
     doc = {
         "revision": revision,
         "src_modified": bool(_git("status", "--porcelain", "--", "src")),
+        **({"base_revision": base_revision} if args.base else {}),
         "python": platform.python_version(),
         "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs",
         "command": "one process per run: matrix --kind K -n N -m M --no-cache --format json, "
@@ -224,21 +301,20 @@ def main(argv=None) -> int:
         "child": CHILD,
         "peak_rss": "VmHWM of the child at exit",
         "timeout_s": TIMEOUT_S,
-        "repeats": f"{REPEATS} samples for a run under {SUB_SECOND_S} s, else 1; "
+        "repeats": f"{REPEATS} samples for a run under {SUB_SECOND_S} s, else {LONG_REPEATS}; "
                    "wall_s and peak_rss_mb are medians",
+        **({"pairs": "each sample runs base and change back to back, base first in "
+                     "every other sample; ratios are change/base per sample"} if args.base else {}),
         "driver_peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "runs": records,
     }
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"BENCH_{revision[:7]}.json")
+    name = f"base-{base_revision[:7]}" if args.base else revision[:7]
+    path = os.path.join(args.out, f"BENCH_{name}.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     print(path)
-    ok = all(
-        r["exit_code"] == 0 and r["stdouts_equal"] and r.get("equals_single_runs", True)
-        for r in records
-    )
     return 0 if ok else 1
 
 

@@ -9,10 +9,11 @@ entries nu already solved is a bar-antisymmetric polynomial whose qZ[q] half
 is the next entry of the upper basis G, and whose q^-1 Z[q^-1] half is that
 of the lower basis G^-.  The same walk over the columns of D, pushing x[nu]
 unchanged and taking the negated sum, is forward substitution for C = D^-1.
-The sums stay sparse {exponent: int} dicts: the product loop is
-``laurent.add_column``, which adds a whole column times x into them, each
-half is read off its sum by ``laurent.antisym_split``, and a solved entry
-becomes a LaurentPoly once.
+Each block numbers its rows once, and the sums are a list with one slot per
+row, each a sparse {exponent: int} dict: the walk's own product loop adds a
+whole column times a solved entry into them, ``laurent.antisym_split`` reads
+both halves of a sum in one pass, so that settling a row gives its entry and
+the product to push, and a solved entry becomes a LaurentPoly once.
 
 Matrix kinds and orientations:
   A: bar images,      column mu = bar|mu>
@@ -24,11 +25,11 @@ Matrix kinds and orientations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import fock, wedge
 from .fock import FockVector
-from .laurent import ONE, ZERO, LaurentPoly, add_column, add_product, antisym_split, collect
+from .laurent import ONE, ZERO, LaurentPoly, add_product, antisym_split, collect
 from .partitions import (  # NotApplicableError: re-exported with steinberg_decompose
     NotApplicableError,
     Partition,
@@ -111,43 +112,78 @@ def a_matrix(n: int, m: int) -> TransitionMatrix:
     return TransitionMatrix("A", n, m, entries)
 
 
-def _block_walk(n: int, m: int, column, push, settle):
+def _block_walk(n: int, m: int, column, settle):
     """Solve the unitriangular x column by column inside each n-core block,
     given the columns column(nu) = {lam: a[lam, nu]} of a unitriangular a.
     Returns the entries of x keyed (row, column).
 
-    Each block's columns are flattened once into (row, pairs) lists without
-    the diagonal.  For the column of mu, sums[lam] adds up a[lam, nu]
-    push(x[nu]) over the entries x[nu] solved so far, in place as
-    {exponent: int}.  The pairs of x[lam] are settle(sums[lam]); a row whose
-    sum is untouched or settles to no pairs gets no entry.  An entry of a
-    above its diagonal or across two blocks leaves a nonzero sum at the end
-    of the block, which raises AssertionError.
+    Each block numbers its partitions once, in revlex, and flattens its
+    columns into below[k], the (row, pairs) of column k without the
+    diagonal; an entry outside the block raises AssertionError here.  For
+    column i, sums[r] adds up a[r, k] pushed[k] over the rows k solved so
+    far, as None or an {exponent: int} dict: the diagonal pushes ONE, and
+    settle(sums[k]) returns (x, pushed) as pairs, x the entry of row k and
+    pushed what row k adds down below[k] (a one-term pushed as a shifted,
+    scaled copy).  A row whose sum is untouched or settles to no pairs gets
+    no entry.  An entry of a above its diagonal leaves a nonzero sum in a
+    row 0..i, which raises AssertionError.
     """
     entries: dict[tuple[Partition, Partition], LaurentPoly] = {}
     for block in blocks(n, m).values():
-        below = {
-            nu: [(lam, a.terms()) for lam, a in column(nu).items() if lam != nu]
-            for nu in block
-        }
+        rows = {p: k for k, p in enumerate(block)}
+        below = []
+        for nu in block:
+            pairs = []
+            for lam, a in column(nu).items():
+                if lam != nu:
+                    k = rows.get(lam)
+                    if k is None:
+                        raise AssertionError(
+                            f"column {nu} has an entry at {lam}, outside its {n}-core block"
+                        )
+                    pairs.append((k, a.terms()))
+            below.append(pairs)
+        size = len(block)
         for i, mu in enumerate(block):
             entries[(mu, mu)] = ONE
-            sums: dict[Partition, dict[int, int]] = {}
-            add_column(sums, below[mu], push(ONE.terms()))
-            for lam in block[i + 1 :]:
-                acc = sums.pop(lam, None)
+            sums: list = [None] * size
+            for r, a in below[i]:
+                sums[r] = dict(a)
+            for k in range(i + 1, size):
+                acc = sums[k]
                 if acc is None:
                     continue
-                x = settle(acc)
-                if x:
-                    entries[(lam, mu)] = LaurentPoly(x)
-                    add_column(sums, below[lam], push(x))
-            leftover = sorted(nu for nu, acc in sums.items() if any(acc.values()))
-            if leftover:
-                raise AssertionError(
-                    f"columns of the {n}-core block of {mu} are not "
-                    f"unitriangular: {leftover} left over"
+                x, pushed = settle(acc)
+                if not x:
+                    continue
+                entries[(block[k], mu)] = LaurentPoly(x)
+                if len(pushed) == 1:
+                    ((j, y),) = pushed
+                    for r, a in below[k]:
+                        acc = sums[r]
+                        if acc is None:
+                            sums[r] = {e + j: c * y for e, c in a}
+                        else:
+                            for e, c in a:
+                                e += j
+                                acc[e] = acc.get(e, 0) + c * y
+                else:
+                    for r, a in below[k]:
+                        acc = sums[r]
+                        if acc is None:
+                            acc = sums[r] = {}
+                        for e, c in a:
+                            for j, y in pushed:
+                                acc[e + j] = acc.get(e + j, 0) + c * y
+            if any(sums[: i + 1]):
+                leftover = sorted(
+                    block[r] for r in range(i + 1) if sums[r] and any(sums[r].values())
                 )
+                if leftover:
+                    raise AssertionError(
+                        f"columns of the {n}-core block of {mu} are not "
+                        f"unitriangular: {leftover} left over"
+                    )
     return entries
 
 
@@ -157,14 +193,12 @@ def _canonical_basis(
     """Entries of D (lower=False) or E (lower=True), keyed (row, column).
 
     The walk runs over the bar images, where by bar-invariance sums[lam]
-    equals x[lam] - bar(x[lam]); x[lam] is its qZ[q] (D) or q^-1 Z[q^-1] (E)
-    half, read off the sum by ``antisym_split``, and bar(x[lam]) is pushed.
+    equals x[lam] - bar(x[lam]); ``antisym_split`` reads x[lam], its qZ[q]
+    (D) or q^-1 Z[q^-1] (E) half, and bar(x[lam]), which is pushed, off the
+    sum in one pass.
     """
-    sign = -1 if lower else 1
     entries = _block_walk(
-        n, m, wedge.bar_degree(m, n).__getitem__,
-        lambda x: [(-e, c) for e, c in x],
-        lambda acc: tuple(sorted([(sign * j, sign * r) for j, r in antisym_split(acc).items()])),
+        n, m, wedge.bar_degree(m, n).__getitem__, partial(antisym_split, lower=lower)
     )
     return {(mu, lam): x for (lam, mu), x in entries.items()} if lower else entries
 
@@ -188,10 +222,12 @@ def adjoint_matrix(d: TransitionMatrix) -> TransitionMatrix:
     columns: dict[Partition, dict[Partition, LaurentPoly]] = {}
     for (lam, nu), a in d.entries.items():
         columns.setdefault(nu, {})[lam] = a
-    entries = _block_walk(
-        d.n, d.m, lambda nu: columns.get(nu, {}), lambda x: x,
-        lambda acc: tuple(sorted([(e, -c) for e, c in acc.items() if c])),
-    )
+
+    def settle(acc):  # x[lam] is its negated sum, and is pushed unchanged
+        x = tuple(sorted([(e, -c) for e, c in acc.items() if c]))
+        return x, x
+
+    entries = _block_walk(d.n, d.m, lambda nu: columns.get(nu, {}), settle)
     return TransitionMatrix("C", d.n, d.m, entries)
 
 

@@ -8,15 +8,17 @@ tuple of their nonzero terms as (exponent, coefficient) pairs, lowest exponent
 first, the zero polynomial having no terms.  The dense coefficient window
 between the lowest and highest exponent exists only in the JSON form.
 
-Sums of products, such as the entries of a triangular solve or the
-coefficients of an operator applied to a vector, are not built as a chain of
-immutable values: ``add_product`` adds a*b in place into a sparse
-{exponent: int} dict, ``add_shifted`` adds a value times c*q^s for an integer
-c (all that f_i, e_i and the ribbon operators multiply by), ``add_column``
-adds a column of values times one value into a table of such dicts, and
-``collect`` turns a table into LaurentPoly values once.  The one other
-module that adds into such a sum by hand is the straightening kernel
-(``_straighten_py._add_product`` and ``_product``), on its own dicts.
+Sums of products, such as the coefficients of an operator applied to a
+vector, are not built as a chain of immutable values: ``add_product`` adds
+a*b in place into a sparse {exponent: int} dict, ``add_shifted`` adds a value
+times c*q^s for an integer c (all that f_i, e_i and the ribbon operators
+multiply by), ``add_column`` adds a column of values times one value into a
+table of such dicts (the sums of ``fock``'s B_k), and ``collect`` turns a
+table into LaurentPoly values once.  ``antisym_split`` reads both halves of
+a bar-antisymmetric sum.  Two other places add into such sums by hand, each
+on its own dicts: the block walk of the triangular solves
+(``canonical._block_walk``) and the straightening kernel
+(``_straighten_py._add_product`` and ``_product``).
 """
 
 from __future__ import annotations
@@ -215,10 +217,11 @@ def add_shifted(acc: dict[int, int], pairs, shift: int = 0, scale: int = 1) -> N
 
 def add_column(sums: dict, column: list, x: tuple) -> None:
     """Add a*x into sums[row] in place for each (row, a) of column, where a
-    and x are given as their (exponent, coefficient) pairs.
+    and x are given as their (exponent, coefficient) pairs: the product loop
+    of ``fock``'s operator sums, B_k as a linear map over stored images.
 
-    Most x in a triangular solve are monomials: their products are shifted,
-    scaled copies of a, and a row not yet in sums gets that copy as its sum.
+    A monomial x gives shifted, scaled copies of a, and a row not yet in
+    sums gets that copy as its sum.
     """
     if len(x) == 1:
         ((j, y),) = x
@@ -274,21 +277,23 @@ def divide_exact(p: LaurentPoly, d: int) -> LaurentPoly:
     return LaurentPoly(tuple(pairs))
 
 
-def antisym_split(p) -> dict[int, int]:
-    """Decompose a bar-antisymmetric polynomial as sum r_j (q^j - q^-j).
+def antisym_split(terms: dict, lower: bool = False) -> tuple:
+    """Split a bar-antisymmetric sparse {exponent: int} sum as x - bar(x).
 
-    p is a LaurentPoly or a sparse {exponent: int} sum, whose zero
-    coefficients are ignored.  Returns the map j -> r_j over j > 0.  Raises
-    NotAntisymmetricError if bar(p) != -p, a nonzero q^0 coefficient
-    included, which signals a corrupted bar computation upstream.
+    x is the half of the sum in qZ[q], or in q^-1 Z[q^-1] when lower, and
+    bar(x) is the other half negated.  Returns the pairs of x and of bar(x),
+    each lowest exponent first, from one pass over the sum; zero coefficients
+    are ignored.  Raises NotAntisymmetricError if bar(p) != -p, a nonzero q^0
+    coefficient included, which signals a corrupted bar computation upstream.
     """
-    terms = dict(p._pairs) if isinstance(p, LaurentPoly) else p
-    half = {}
-    for e, c in terms.items():
+    x, xbar = [], []
+    for e, c in sorted(terms.items()):
         if c:
             if terms.get(-e, 0) != -c:
                 p = LaurentPoly.from_terms(terms)
                 raise NotAntisymmetricError(f"not antisymmetric under q -> 1/q: {p}")
-            if e > 0:
-                half[e] = c
-    return half
+            if (e < 0) == lower:
+                x.append((e, c))
+            else:
+                xbar.append((e, -c))
+    return tuple(x), tuple(xbar)

@@ -96,12 +96,8 @@ def _bar_correction_basis(n, m, lower):
                 if not delta:
                     break
                 nu = min(delta.terms, key=lambda p: index[p])
-                parts = antisym_split(delta.terms[nu])
-                if lower:
-                    corr = P({-j: -r for j, r in parts.items()})
-                else:
-                    corr = P(parts)
-                v = v + basis[nu].scale(corr)
+                half, _ = antisym_split(dict(delta.terms[nu].terms()), lower)
+                v = v + basis[nu].scale(LaurentPoly(half))
             basis[mu] = v
     return basis
 
@@ -141,6 +137,37 @@ def test_broken_bar_image_fails_loudly(monkeypatch, mu, lam, poly, error):
         with pytest.raises(error):
             canonical_upper(2, sum(mu))
         with pytest.raises(error):
+            canonical_lower(2, sum(mu))
+    finally:
+        canonical_upper.cache_clear()
+        canonical_lower.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "mu, lam, message",
+    [
+        # (5) precedes (3,2) in revlex within the 2-core (1) block
+        ((3, 2), (5,), r"not unitriangular: \[\(5,\)\] left over"),
+        # (2,1) is a 2-core, so it lies outside the block of (3)
+        ((3,), (2, 1), r"column \(3,\) has an entry at \(2, 1\), outside its 2-core block"),
+    ],
+    ids=["above-diagonal", "across-blocks"],
+)
+def test_broken_bar_image_names_the_entry(monkeypatch, mu, lam, message):
+    real = wedge.bar_degree
+
+    def broken(m, n):
+        images = dict(real(m, n))
+        images[mu] = {**images[mu], lam: ONE}
+        return images
+
+    canonical_upper.cache_clear()
+    canonical_lower.cache_clear()
+    monkeypatch.setattr(wedge, "bar_degree", broken)
+    try:
+        with pytest.raises(AssertionError, match=message):
+            canonical_upper(2, sum(mu))
+        with pytest.raises(AssertionError, match=message):
             canonical_lower(2, sum(mu))
     finally:
         canonical_upper.cache_clear()
@@ -303,16 +330,19 @@ def test_block_walk_matches_forward_substitution():
 
 
 @pytest.mark.parametrize(
-    "extra",
-    [((5,), (3, 2)), ((4, 1), (3, 2))],
+    "extra, message",
+    [
+        (((5,), (3, 2)), r"not unitriangular: \[\(5,\)\] left over"),
+        (((4, 1), (3, 2)), r"column \(3, 2\) has an entry at \(4, 1\), outside its 2-core block"),
+    ],
     ids=["above-diagonal", "across-blocks"],
 )
-def test_broken_upper_matrix_fails_loudly(extra):
+def test_broken_upper_matrix_fails_loudly(extra, message):
     # (5) precedes (3,2) in revlex within the 2-core (1) block; (4,1) has
     # 2-core (2,1), so it lies outside that block
     d = canonical_upper(2, 5)
     broken = TransitionMatrix("D", 2, 5, {**d.entries, extra: ONE})
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=message):
         adjoint_matrix(broken)
 
 

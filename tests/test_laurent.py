@@ -78,32 +78,58 @@ def test_bar_substitution():
 
 
 def test_antisym_split_simple():
-    assert antisym_split(P({1: 1, -1: -1})) == {1: 1}
+    # q - q^-1 = x - bar(x) with x = q in qZ[q], or x = -q^-1 in q^-1 Z[q^-1]
+    assert antisym_split({1: 1, -1: -1}) == (((1, 1),), ((-1, 1),))
+    assert antisym_split({1: 1, -1: -1}, lower=True) == (((-1, -1),), ((1, -1),))
 
 
 def test_antisym_split_zero():
-    assert antisym_split(ZERO) == {}
+    assert antisym_split({}) == ((), ())
+    assert antisym_split({}, lower=True) == ((), ())
 
 
 def test_antisym_split_hand():
-    assert antisym_split(P({3: 2, 1: -1, -1: 1, -3: -2})) == {3: 2, 1: -1}
+    terms = {3: 2, 1: -1, -1: 1, -3: -2}
+    assert antisym_split(terms) == (((1, -1), (3, 2)), ((-3, 2), (-1, -1)))
+    assert antisym_split(terms, lower=True) == (((-3, -2), (-1, 1)), ((1, 1), (3, -2)))
+
+
+@pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+def test_antisym_split_halves_are_ascending(lower):
+    # a sum's insertion order is arbitrary; each half comes back sorted, and
+    # the two halves are x and bar(x) with x - bar(x) the sum
+    terms = {3: 2, -1: 1, 5: -4, 1: -1, -5: 4, -3: -2}
+    x, xbar = antisym_split(terms, lower)
+    assert [e for e, _ in x] == sorted(e for e, _ in x)
+    assert [e for e, _ in xbar] == sorted(e for e, _ in xbar)
+    assert (x[0][0] < 0) == lower
+    assert LaurentPoly(xbar) == LaurentPoly(x).bar()
+    assert LaurentPoly(x) - LaurentPoly(xbar) == P(terms)
 
 
 def test_antisym_split_rejects():
     with pytest.raises(NotAntisymmetricError):
-        antisym_split(P({1: 1}))
+        antisym_split({1: 1})
+    with pytest.raises(NotAntisymmetricError):
+        antisym_split({1: 1}, lower=True)
 
 
 def test_antisym_split_of_a_sparse_sum():
     # zero coefficients, as a sum left by cancellation holds, are ignored
-    assert antisym_split({2: 3, 0: 0, -2: -3, 1: 0}) == {2: 3}
-    assert antisym_split({1: 0, -1: 0}) == {}
+    assert antisym_split({2: 3, 0: 0, -2: -3, 1: 0}) == (((2, 3),), ((-2, 3),))
+    assert antisym_split({2: 3, 0: 0, -2: -3, 1: 0}, lower=True) == (((-2, -3),), ((2, -3),))
+    assert antisym_split({1: 0, -1: 0}) == ((), ())
 
 
-@pytest.mark.parametrize("terms", [{0: 1}, {1: 1, 0: 2, -1: -1}, {-1: 1}, {2: 1, -2: 1}])
+@pytest.mark.parametrize(
+    "terms",
+    [{0: 1}, {1: 1, 0: 2, -1: -1}, {-1: 1}, {2: 1, -2: 1}, {2: 3, -2: -2}, {3: 1, -2: -1}],
+)
 def test_antisym_split_rejects_a_sparse_sum(terms):
-    with pytest.raises(NotAntisymmetricError):
-        antisym_split(terms)
+    # a q^0 term, or a term whose mirror is missing or has another coefficient
+    for lower in (False, True):
+        with pytest.raises(NotAntisymmetricError, match="not antisymmetric"):
+            antisym_split(terms, lower)
 
 
 def test_add_shifted_by_hand():

@@ -60,12 +60,12 @@ def test_ring_axioms(a, b, c):
 @given(small_polys)
 def test_antisym_round_trip(p):
     r = p - p.bar()
-    parts = antisym_split(r)
-    rebuilt = sum(
-        (LaurentPoly.from_terms({j: c, -j: -c}) for j, c in parts.items()),
-        ZERO,
-    )
-    assert rebuilt == r
+    for lower in (False, True):
+        x, xbar = antisym_split(dict(r.terms()), lower)
+        half = LaurentPoly(x)
+        assert half.in_negative_ring() if lower else half.in_positive_ring()
+        assert LaurentPoly(xbar) == half.bar()
+        assert half - half.bar() == r
 
 
 @given(small_polys)
