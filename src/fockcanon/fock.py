@@ -3,21 +3,25 @@
 Basis vectors are indexed by partitions.  The Chevalley action is computed
 combinatorially on partitions: f_i and e_i are one loop, ``node_sums``,
 which the bar images of the wedge layer share for f_i.  The Heisenberg
-generators and the bar involution are linear maps over the images of basis
-vectors that the wedge layer keeps (wedge.b_basis, wedge.bar_basis).  The
-ribbon operators S_alpha come in two independent implementations: the
-combinatorial strip sums (v_op / u_op, s_alpha) and the character expansion
-through B_k (s_alpha_via_characters), which doubles as an oracle; the
-exponential-formula oracle for V_k = S_(k), v_op_via_heisenberg, is the
-character oracle at (k).  Its rational weights are scaled to integer class
-sizes, so all arithmetic stays in Z[q, 1/q].  Chains of operators, the B_k
-of the oracle, the V_k of psi_q and the minors of S_alpha (``s_sums``, which
-the S-step of the wedge layer calls), run on sparse {exponent: int} sums,
-which become LaurentPoly values once, at the end.
+generators B_k, the ribbon operators V_k and U_k and the bar involution are
+linear maps over stored images of basis vectors: B_k|p> and bar|p> kept by
+the wedge layer (wedge.b_basis, wedge.bar_basis), V_k|p> and U_k|p> by
+``strip_basis``, each strip walk done once; all live until
+wedge.clear_caches.  The ribbon operators S_alpha come in two independent
+implementations: the Jacobi-Trudi determinant in the V_k (s_alpha) and the
+character expansion through B_k (s_alpha_via_characters), which doubles as
+an oracle and reads no strip; the exponential-formula oracle for V_k =
+S_(k), v_op_via_heisenberg, is the character oracle at (k).  Its rational
+weights are scaled to integer class sizes, so all arithmetic stays in
+Z[q, 1/q].  Chains of operators, the B_k of the oracle, the V_k of psi_q
+and the minors of S_alpha (``s_sums``, which the S-step of the wedge layer
+calls), run on sparse {exponent: int} sums, which become LaurentPoly values
+once, at the end.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
 from . import symfunc, wedge
@@ -193,30 +197,39 @@ def b_action(k: int, v: FockVector, n: int) -> FockVector:
     return FockVector(collect(_b_sums(k, _sparse(v), n)))
 
 
-def _strip_sums(strips, above: bool, k: int, terms: dict, n: int) -> dict:
-    """{partition: {exponent: int}}: the sum over (p, c) in terms, c an
-    {exponent: int} dict, and the strips of strips(p, n, k) of
-    c (-1)^h q^{-h} at the strip's target (above) or source (below); each c
-    is added by add_shifted."""
+@lru_cache(maxsize=None)
+def strip_basis(k: int, p: Partition, n: int, above: bool) -> tuple:
+    """V_k|p> (above) or U_k|p> (below) as (partition, pairs) terms: one
+    term (-1)^h q^{-h} per strip of ribbon_strips_above or ribbon_strips_below,
+    at its target or source.  Walked once and kept, like the B_k images,
+    until wedge.clear_caches."""
+    strips = ribbon_strips_above(p, n, k) if above else ribbon_strips_below(p, n, k)
+    return tuple(
+        (s.target if above else s.source, ((-s.height, (-1) ** s.height),)) for s in strips
+    )
+
+
+def _strip_sums(above: bool, k: int, terms: dict, n: int) -> dict:
+    """{partition: {exponent: int}}: V_k (above) or U_k (below) on terms, an
+    {exponent: int} sum per partition, as a linear map over the images
+    strip_basis keeps, each added by laurent.add_column, as in _b_sums."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     sums: dict = {}
     for p, c in terms.items():
-        for source, target, _, _, h in strips(p, n, k):
-            acc = sums.setdefault(target if above else source, {})
-            add_shifted(acc, c.items(), -h, -1 if h % 2 else 1)
+        add_column(sums, strip_basis(k, p, n, above), c.items())
     return sums
 
 
 def v_op(k: int, v: FockVector, n: int) -> FockVector:
     """Ribbon analogue of multiplication by the degree-k complete function:
     V_k |lam> = sum (-1)^h q^{-h} |mu> over horizontal strips of weight k."""
-    return FockVector(collect(_strip_sums(ribbon_strips_above, True, k, _sparse(v), n)))
+    return FockVector(collect(_strip_sums(True, k, _sparse(v), n)))
 
 
 def u_op(k: int, v: FockVector, n: int) -> FockVector:
     """Adjoint of v_op: strip removal with the same signed coefficients."""
-    return FockVector(collect(_strip_sums(ribbon_strips_below, False, k, _sparse(v), n)))
+    return FockVector(collect(_strip_sums(False, k, _sparse(v), n)))
 
 
 def v_op_via_heisenberg(k: int, v: FockVector, n: int) -> FockVector:
@@ -246,11 +259,12 @@ def s_sums(alpha: Partition, terms: dict, n: int) -> dict:
     V_k commute, so the minor on a row set R, taken with the last |R|
     columns, is one sparse sum; each is computed once per call and kept by
     R.  Down a column alpha_i - i + j falls, so its first negative entry
-    (zero in the determinant) ends the scan.  V_0 is the identity and walks
-    no strips.  The first entry of a column is at least its part of alpha,
-    so it walks strips, and the other terms are added into that fresh sum: a
-    kept minor is never written to.  Partitions whose coefficients cancel
-    are dropped from each minor, so no strip walk starts from them."""
+    (zero in the determinant) ends the scan.  V_0 is the identity and reads
+    no strip image.  The first entry of a column is at least its part of
+    alpha, so it applies a V_d, which gives a fresh sum, and the other terms
+    are added into that sum: a kept minor is never written to.  Partitions
+    whose coefficients cancel are dropped from each minor, so no strip image
+    is read for them."""
     ell = len(alpha)
     minors: dict = {(): terms}
 
@@ -264,7 +278,7 @@ def s_sums(alpha: Partition, terms: dict, n: int) -> dict:
                 break
             term = minor(rows[:k] + rows[k + 1:])
             if d:
-                term = _strip_sums(ribbon_strips_above, True, d, term, n)
+                term = _strip_sums(True, d, term, n)
             if not k:
                 out = term
                 continue
@@ -302,7 +316,7 @@ def psi_q(p: Partition, n: int) -> FockVector:
     """Highest-weight vector V_{p_1} V_{p_2} ... V_{p_r} |0>."""
     terms = {(): {0: 1}}
     for k in reversed(p):
-        terms = _strip_sums(ribbon_strips_above, True, k, terms, n)
+        terms = _strip_sums(True, k, terms, n)
     return FockVector(collect(terms))
 
 

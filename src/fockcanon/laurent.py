@@ -11,14 +11,14 @@ between the lowest and highest exponent exists only in the JSON form.
 Sums of products, such as the coefficients of an operator applied to a
 vector, are not built as a chain of immutable values: ``add_product`` adds
 a*b in place into a sparse {exponent: int} dict, ``add_shifted`` adds a value
-times c*q^s for an integer c (all that f_i, e_i and the ribbon operators
-multiply by), ``add_column`` adds a column of values times one value into a
-table of such dicts (the sums of ``fock``'s B_k), and ``collect`` turns a
-table into LaurentPoly values once.  ``antisym_split`` reads both halves of
-a bar-antisymmetric sum.  Two other places add into such sums by hand, each
-on its own dicts: the block walk of the triangular solves
-(``canonical._block_walk``) and the straightening kernel
-(``_straighten_py._add_product`` and ``_product``).
+times c*q^s for an integer c (all that f_i and e_i multiply by),
+``add_column`` adds a column of values times one value into a table of such
+dicts (the sums of ``fock``'s B_k, V_k and U_k, linear maps over stored
+images of basis vectors), and ``collect`` turns a table into LaurentPoly
+values once.  ``antisym_split`` reads both halves of a bar-antisymmetric
+sum.  Two other places add into such sums by hand, each on its own dicts:
+the block walk of the triangular solves (``canonical._block_walk``) and the
+straightening kernel (``_straighten_py._add_product`` and ``_product``).
 """
 
 from __future__ import annotations
@@ -218,7 +218,8 @@ def add_shifted(acc: dict[int, int], pairs, shift: int = 0, scale: int = 1) -> N
 def add_column(sums: dict, column: list, x: tuple) -> None:
     """Add a*x into sums[row] in place for each (row, a) of column, where a
     and x are given as their (exponent, coefficient) pairs: the product loop
-    of ``fock``'s operator sums, B_k as a linear map over stored images.
+    of ``fock``'s operator sums, B_k, V_k and U_k as linear maps over stored
+    images of basis vectors.
 
     A monomial x gives shifted, scaled copies of a, and a row not yet in
     sums gets that copy as its sum.

@@ -8,7 +8,9 @@ finite word up to a shift: the exchange rule reads only differences of
 entries.  ``straighten`` extends a head far enough that its tail can be left
 out; B_k straightens only the window of entries its moved entry passes, and
 the image B_k|p> of a basis vector is computed once (``b_basis``) and kept,
-like the bar images, until ``clear_caches``.
+like the bar images, until ``clear_caches``.  So are the strip images
+V_k|p> and U_k|p> that fock keeps (``fock.strip_basis``): ``clear_caches``
+is the one lifetime of every image of a basis vector.
 
 The layer works on basis vectors only, as the bar involution and B_k are
 defined on single wedges: both take one partition and give its image keyed
@@ -112,11 +114,12 @@ _b_images: dict[tuple[int, int, Partition], tuple] = {}
 
 
 def clear_caches() -> None:
-    """Drop the four memos: straightening, the bar images, the B_k images and
-    the node rows."""
+    """Drop the five memos: straightening, the bar images, the B_k images,
+    the strip images of V_k and U_k (fock.strip_basis) and the node rows."""
     _straighten_cache.clear()
     _bar_images.clear()
     _b_images.clear()
+    fock.strip_basis.cache_clear()
     node_row.cache_clear()
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fockcanon import fock, matrixio, verify
+from fockcanon import fock, matrixio, verify, wedge
 from fockcanon.canonical import canonical_upper
 from fockcanon.cli import main, parse_partition, parse_vector
 from fockcanon.fock import FockVector
@@ -310,8 +310,14 @@ def _heights_plus_one(real):
     ids=["e_i-ignores-sign", "oracle-times-q", "u_op-heights-plus-one"],
 )
 def test_verify_fails_on_a_broken_operator(monkeypatch, capsys, name, mutant, suite, check):
+    # strip images are kept until clear_caches: without it the U_k mutant
+    # would read images stored before the patch, and leave its own behind
+    wedge.clear_caches()
     monkeypatch.setattr(fock, name, mutant(getattr(fock, name)))
-    code, out = run_cli(capsys, "verify", "--suite", suite, "-n", "2", "--max-m", "4")
+    try:
+        code, out = run_cli(capsys, "verify", "--suite", suite, "-n", "2", "--max-m", "4")
+    finally:
+        wedge.clear_caches()
     assert code == 1
     assert f"[FAIL] {suite}: {check}" in out
     assert f"[FAIL] {suite}: suite total" in out

@@ -1,9 +1,11 @@
 import random
 import time
+from functools import partial
+from itertools import combinations, permutations
 
 import pytest
 
-from fockcanon import fock, symfunc, wedge
+from fockcanon import fock, partitions, symfunc, wedge
 from fockcanon.fock import FockVector
 from fockcanon.laurent import LaurentPoly, NonIntegralResultError, ZERO, q_int
 from fockcanon.partitions import partition_label, partitions_of, revlex_order
@@ -169,7 +171,7 @@ def test_s_alpha_keeps_each_minor(monkeypatch):
     real = fock._strip_sums
 
     def counting(*args):
-        walks.append(args[2])
+        walks.append(args[1])
         return real(*args)
 
     monkeypatch.setattr(fock, "_strip_sums", counting)
@@ -205,6 +207,135 @@ def test_psi_q_highest_weight():
                 assert not hw or {sum(p) for p in hw.terms} == {n * r}
                 for i in range(n):
                     assert not fock.e_action(i, hw, n), (n, lam, i)
+
+
+# -- strip images ---------------------------------------------------------------
+
+
+def _strips(above, p, n, k):
+    """(other partition, height) of each strip out of p (above) or into it."""
+    if above:
+        return [(s.target, s.height) for s in partitions.ribbon_strips_above(p, n, k)]
+    return [(s.source, s.height) for s in partitions.ribbon_strips_below(p, n, k)]
+
+
+def _strip_sum(above, k, v, n):
+    """V_k v (above) or U_k v (below) summed strip by strip, reading no
+    stored image."""
+    out = {}
+    for p, c in v.items():
+        for nu, h in _strips(above, p, n, k):
+            out[nu] = out.get(nu, ZERO) + c * LaurentPoly.monomial((-1) ** h, -h)
+    return FockVector(out)
+
+
+def _s_alpha_by_permutations(alpha, v, n):
+    """det(V_{alpha_i - i + j}) by its permutation expansion, each product of
+    V_k applied by _strip_sum."""
+    out = FockVector()
+    for perm in permutations(range(len(alpha))):
+        ks = [alpha[i] - i + j for i, j in enumerate(perm)]
+        if min(ks, default=0) < 0:
+            continue
+        term = v
+        for k in ks:
+            term = _strip_sum(True, k, term, n)
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        out = out - term if inversions % 2 else out + term
+    return out
+
+
+def _strip_cases(n):
+    """(operator, its direct strip sum) for n, k <= 3 and m <= 6: v_op, u_op
+    and s_alpha on each basis vector, psi_q on each partition with parts
+    at most 3."""
+    cases = []
+    for m in range(7):
+        for lam in partitions_of(m):
+            v = basis(lam)
+            for k in range(4):
+                cases.append((partial(fock.v_op, k, v, n), _strip_sum(True, k, v, n)))
+                cases.append((partial(fock.u_op, k, v, n), _strip_sum(False, k, v, n)))
+                for alpha in partitions_of(k):
+                    cases.append(
+                        (partial(fock.s_alpha, alpha, v, n), _s_alpha_by_permutations(alpha, v, n))
+                    )
+            if lam[:1] <= (3,):
+                want = basis(())
+                for k in reversed(lam):
+                    want = _strip_sum(True, k, want, n)
+                cases.append((partial(fock.psi_q, lam, n), want))
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_strip_operators_equal_the_direct_strip_sums(monkeypatch, n):
+    # first cold, building every image, then warm, where every image is read
+    # and no strip is walked
+    def refuse(p, n, k):
+        raise AssertionError("a stored strip image was walked again")
+
+    cases = _strip_cases(n)
+    wedge.clear_caches()
+    try:
+        for op, want in cases:
+            assert op() == want, op
+        monkeypatch.setattr(fock, "ribbon_strips_above", refuse)
+        monkeypatch.setattr(fock, "ribbon_strips_below", refuse)
+        for op, want in cases:
+            assert op() == want, op
+    finally:
+        wedge.clear_caches()
+
+
+def test_strip_images_live_until_clear_caches(monkeypatch):
+    v = FockVector({(3, 1): P({-1: 2, 2: -1}), (2,): LaurentPoly.monomial(1, 1)})
+    walks = []
+
+    def counted(real, above):
+        def strips(p, n, k):
+            walks.append((above, p, k))
+            return real(p, n, k)
+        return strips
+
+    wedge.clear_caches()
+    monkeypatch.setattr(fock, "ribbon_strips_above", counted(fock.ribbon_strips_above, True))
+    monkeypatch.setattr(fock, "ribbon_strips_below", counted(fock.ribbon_strips_below, False))
+    try:
+        want = {above: _strip_sum(above, 1, v, 2) for above in (True, False)}
+        # one walk per basis vector and direction, however often it is read
+        for _ in range(2):
+            assert fock.v_op(1, v, 2) == want[True]
+            assert fock.u_op(1, v, 2) == want[False]
+        first = sorted(walks)
+        assert first == sorted((above, p, 1) for above in (True, False) for p in v.terms)
+        assert fock.strip_basis.cache_info().currsize == 4
+        wedge.clear_caches()
+        assert fock.strip_basis.cache_info().currsize == 0
+        assert fock.v_op(1, v, 2) == want[True]
+        assert fock.u_op(1, v, 2) == want[False]
+        assert sorted(walks) == sorted(first * 2)
+    finally:
+        wedge.clear_caches()
+
+
+def test_strip_images_are_unchanged_by_multi_term_coefficients():
+    wedge.clear_caches()
+    try:
+        lam, n = (3, 1), 2
+        images = {above: fock.strip_basis(1, lam, n, above) for above in (True, False)}
+        assert all(images.values())
+        before = {above: [(p, list(pairs)) for p, pairs in image] for above, image in images.items()}
+        v = FockVector({lam: P({-2: 3, 0: -1, 1: 2}), (2,): P({1: -1})})
+        for above, op in ((True, fock.v_op), (False, fock.u_op)):
+            got = op(1, v, n)
+            assert got == _strip_sum(above, 1, v, n)
+            assert op(1, v, n) == got
+        for above, image in images.items():
+            assert fock.strip_basis(1, lam, n, above) is image
+            assert [(p, list(pairs)) for p, pairs in image] == before[above]
+    finally:
+        wedge.clear_caches()
 
 
 # -- inner product and bar ------------------------------------------------------

@@ -154,8 +154,9 @@ def test_b_action_reads_the_images_until_clear_caches(monkeypatch):
     warm = fock.b_action(-2, v, 3)
     wedge.bar_basis((2, 2), 3)
     fock.f_action(0, v, 3)
+    fock.v_op(1, v, 3)
     assert wedge._straighten_cache and wedge._bar_images and wedge._b_images
-    assert node_row.cache_info().currsize
+    assert node_row.cache_info().currsize and fock.strip_basis.cache_info().currsize
 
     def refuse(k, wv, n):
         raise AssertionError("a stored B_k image was computed again")
@@ -164,7 +165,7 @@ def test_b_action_reads_the_images_until_clear_caches(monkeypatch):
     assert fock.b_action(-2, v, 3) == warm
     wedge.clear_caches()
     assert wedge._straighten_cache == wedge._bar_images == wedge._b_images == {}
-    assert node_row.cache_info().currsize == 0
+    assert node_row.cache_info().currsize == fock.strip_basis.cache_info().currsize == 0
     with pytest.raises(AssertionError, match="computed again"):
         fock.b_action(-2, v, 3)
 
