@@ -119,28 +119,27 @@ def _block_walk(n: int, m: int, column, settle):
 
     Each block numbers its partitions once, in revlex, and flattens its
     columns into below[k], the (row, pairs) of column k without the
-    diagonal; an entry outside the block raises AssertionError here.  For
-    column i, sums[r] adds up a[r, k] pushed[k] over the rows k solved so
-    far, as None or an {exponent: int} dict: the diagonal pushes ONE, and
-    settle(sums[k]) returns (x, pushed) as pairs, x the entry of row k and
-    pushed what row k adds down below[k] (a one-term pushed as a shifted,
-    scaled copy).  A row whose sum is untouched or settles to no pairs gets
-    no entry.  An entry of a above its diagonal leaves a nonzero sum in a
-    row 0..i, which raises AssertionError.
+    diagonal; an entry outside the block or above the diagonal raises
+    AssertionError here, before any row of the block is settled, so every
+    push goes to a row not yet settled.  For column i, sums[r] adds up
+    a[r, k] pushed[k] over the rows k solved so far, as None or an
+    {exponent: int} dict: the diagonal pushes ONE, and settle(sums[k])
+    returns (x, pushed) as pairs, x the entry of row k and pushed what row k
+    adds down below[k] (a one-term pushed as a shifted, scaled copy).  A row
+    whose sum is untouched or settles to no pairs gets no entry.
     """
     entries: dict[tuple[Partition, Partition], LaurentPoly] = {}
     for block in blocks(n, m).values():
         rows = {p: k for k, p in enumerate(block)}
         below = []
-        for nu in block:
+        for j, nu in enumerate(block):
             pairs = []
             for lam, a in column(nu).items():
                 if lam != nu:
                     k = rows.get(lam)
-                    if k is None:
-                        raise AssertionError(
-                            f"column {nu} has an entry at {lam}, outside its {n}-core block"
-                        )
+                    if k is None or k < j:
+                        where = f"outside its {n}-core block" if k is None else "above its diagonal"
+                        raise AssertionError(f"column {nu} has an entry at {lam}, {where}")
                     pairs.append((k, a.terms()))
             below.append(pairs)
         size = len(block)
@@ -175,15 +174,6 @@ def _block_walk(n: int, m: int, column, settle):
                         for e, c in a:
                             for j, y in pushed:
                                 acc[e + j] = acc.get(e + j, 0) + c * y
-            if any(sums[: i + 1]):
-                leftover = sorted(
-                    block[r] for r in range(i + 1) if sums[r] and any(sums[r].values())
-                )
-                if leftover:
-                    raise AssertionError(
-                        f"columns of the {n}-core block of {mu} are not "
-                        f"unitriangular: {leftover} left over"
-                    )
     return entries
 
 

@@ -4,14 +4,15 @@ Basis vectors are indexed by partitions.  The Chevalley action is computed
 combinatorially on partitions: f_i and e_i are one loop, ``node_sums``,
 which the bar images of the wedge layer share for f_i.  The Heisenberg
 generators B_k, the ribbon operators V_k and U_k and the bar involution are
-linear maps over stored images of basis vectors: B_k|p> and bar|p> kept by
-the wedge layer (wedge.b_basis, wedge.bar_basis), V_k|p> and U_k|p> by
-``strip_basis``, each strip walk done once; all live until
-wedge.clear_caches.  The ribbon operators S_alpha come in two independent
-implementations: the Jacobi-Trudi determinant in the V_k (s_alpha) and the
-character expansion through B_k (s_alpha_via_characters), which doubles as
-an oracle and reads no strip; the exponential-formula oracle for V_k =
-S_(k), v_op_via_heisenberg, is the character oracle at (k).  Its rational
+linear maps over stored images of basis vectors: bar|p> kept by the wedge
+layer (wedge.bar_basis), and B_k|p>, V_k|p> and U_k|p> by lru_cache
+functions (wedge.b_basis, ``strip_basis``, each strip walk done once) whose
+cache_info() counts their use; all live until wedge.clear_caches.  The
+ribbon operators S_alpha come in two independent implementations: the
+Jacobi-Trudi determinant in the V_k (s_alpha) and the character expansion
+through B_k (s_alpha_via_characters), which doubles as an oracle and reads
+no strip; the exponential-formula oracle for V_k = S_(k),
+v_op_via_heisenberg, is the character oracle at (k).  Its rational
 weights are scaled to integer class sizes, so all arithmetic stays in
 Z[q, 1/q].  Chains of operators, the B_k of the oracle, the V_k of psi_q
 and the minors of S_alpha (``s_sums``, which the S-step of the wedge layer

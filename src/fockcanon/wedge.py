@@ -4,13 +4,16 @@ A word is the explicit head (i_1, ..., i_K) of the semi-infinite wedge
 u_{i_1} ^ u_{i_2} ^ ... with the implicit tail i_k = -k + 1 for k > K.  The
 basis vector attached to a partition has i_k = lambda_k - k + 1.  All
 straightening goes through the kernel in ``_straighten_py``, memoized on the
-finite word up to a shift: the exchange rule reads only differences of
-entries.  ``straighten`` extends a head far enough that its tail can be left
-out; B_k straightens only the window of entries its moved entry passes, and
-the image B_k|p> of a basis vector is computed once (``b_basis``) and kept,
-like the bar images, until ``clear_caches``.  So are the strip images
-V_k|p> and U_k|p> that fock keeps (``fock.strip_basis``): ``clear_caches``
-is the one lifetime of every image of a basis vector.
+finite word shifted to start at 0 (``_straightened``): the exchange rule
+reads only differences of entries.  ``straighten`` extends a head far enough
+that its tail can be left out; B_k straightens only the window of entries
+its moved entry passes, and the image B_k|p> of a basis vector is computed
+once (``b_basis``).  Both memos are ``functools.lru_cache`` functions, like
+the strip images V_k|p> and U_k|p> that fock keeps (``fock.strip_basis``)
+and the node rows (``partitions.node_row``), so each reports its hits,
+misses and size through ``cache_info()``; only the bar images, which
+``_build`` writes a run at a time, are a dict.  ``clear_caches`` is the one
+lifetime of every image of a basis vector.
 
 The layer works on basis vectors only, as the bar involution and B_k are
 defined on single wedges: both take one partition and give its image keyed
@@ -43,7 +46,7 @@ reads the same rows, and f_i on an image is fock's f_i loop.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 from . import _straighten_py as _kernel
 from . import fock
@@ -108,34 +111,35 @@ def extend_head(w: Word, K: int) -> Word:
     return w + tuple(-k for k in range(len(w), K))
 
 
-_straighten_cache: dict[tuple[int, Word], tuple] = {}
 _bar_images: dict[tuple[int, Partition], dict[Partition, LaurentPoly]] = {}
-_b_images: dict[tuple[int, int, Partition], tuple] = {}
 
 
 def clear_caches() -> None:
-    """Drop the five memos: straightening, the bar images, the B_k images,
-    the strip images of V_k and U_k (fock.strip_basis) and the node rows."""
-    _straighten_cache.clear()
+    """Drop every image of a basis vector: the bar images, the straightened
+    words, the B_k images, the strip images of V_k and U_k
+    (fock.strip_basis) and the node rows."""
     _bar_images.clear()
-    _b_images.clear()
-    fock.strip_basis.cache_clear()
-    node_row.cache_clear()
+    for memo in (_straightened, b_basis, fock.strip_basis, node_row):
+        memo.cache_clear()
+
+
+@lru_cache(maxsize=None)
+def _straightened(w: Word, n: int) -> tuple:
+    """The kernel's expansion of the word w, which starts at 0, as (word,
+    LaurentPoly) pairs."""
+    out = _kernel.straighten_terms(w, n)
+    return tuple((word, LaurentPoly.from_terms(poly)) for word, poly in out.items())
 
 
 def _straighten_minimal(w: Word, n: int) -> tuple:
     """Straighten the finite word w as given, with no tail after it.
 
     The exchange rule reads only differences of entries, so the expansion is
-    cached on w shifted to start at 0 and shifted back by w[0].
+    read from _straightened on w shifted to start at 0 and shifted back by
+    w[0].
     """
     c = w[0] if w else 0
-    key = (n, tuple(v - c for v in w))
-    hit = _straighten_cache.get(key)
-    if hit is None:
-        out = _kernel.straighten_terms(key[1], n)
-        hit = tuple((word, LaurentPoly.from_terms(poly)) for word, poly in out.items())
-        _straighten_cache[key] = hit
+    hit = _straightened(tuple(v - c for v in w), n)
     if not c:
         return hit
     return tuple((tuple(v + c for v in word), poly) for word, poly in hit)
@@ -198,14 +202,11 @@ def b_action_words(k: int, p: Partition, n: int) -> tuple:
     return tuple((word_to_partition(word), c.terms()) for word, c in collect(sums).items())
 
 
+@lru_cache(maxsize=None)
 def b_basis(k: int, p: Partition, n: int) -> tuple:
-    """B_k|p> as b_action_words gives it, computed once and kept in
-    _b_images until clear_caches."""
-    key = (n, k, p)
-    image = _b_images.get(key)
-    if image is None:
-        image = _b_images[key] = b_action_words(k, p, n)
-    return image
+    """B_k|p> as b_action_words gives it, computed once and kept until
+    clear_caches."""
+    return b_action_words(k, p, n)
 
 
 def _unitriangular(lam: Partition, col: dict, how: str) -> dict:

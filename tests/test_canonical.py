@@ -2,7 +2,7 @@ from itertools import zip_longest
 
 import pytest
 
-from fockcanon import fock, verify, wedge
+from fockcanon import canonical, fock, verify, wedge
 from fockcanon.canonical import (
     NotApplicableError,
     TransitionMatrix,
@@ -147,7 +147,7 @@ def test_broken_bar_image_fails_loudly(monkeypatch, mu, lam, poly, error):
     "mu, lam, message",
     [
         # (5) precedes (3,2) in revlex within the 2-core (1) block
-        ((3, 2), (5,), r"not unitriangular: \[\(5,\)\] left over"),
+        ((3, 2), (5,), r"column \(3, 2\) has an entry at \(5,\), above its diagonal"),
         # (2,1) is a 2-core, so it lies outside the block of (3)
         ((3,), (2, 1), r"column \(3,\) has an entry at \(2, 1\), outside its 2-core block"),
     ],
@@ -155,20 +155,30 @@ def test_broken_bar_image_fails_loudly(monkeypatch, mu, lam, poly, error):
 )
 def test_broken_bar_image_names_the_entry(monkeypatch, mu, lam, message):
     real = wedge.bar_degree
+    settled = []
 
     def broken(m, n):
         images = dict(real(m, n))
         images[mu] = {**images[mu], lam: ONE}
         return images
 
+    def counted(acc, lower):
+        settled.append(lower)
+        return antisym_split(acc, lower=lower)
+
+    # the broken block is the first one walked, so the walk must raise
+    # before it settles any row at all
+    assert mu in next(iter(blocks(2, sum(mu)).values()))
     canonical_upper.cache_clear()
     canonical_lower.cache_clear()
     monkeypatch.setattr(wedge, "bar_degree", broken)
+    monkeypatch.setattr(canonical, "antisym_split", counted)
     try:
         with pytest.raises(AssertionError, match=message):
             canonical_upper(2, sum(mu))
         with pytest.raises(AssertionError, match=message):
             canonical_lower(2, sum(mu))
+        assert settled == []
     finally:
         canonical_upper.cache_clear()
         canonical_lower.cache_clear()
@@ -332,7 +342,7 @@ def test_block_walk_matches_forward_substitution():
 @pytest.mark.parametrize(
     "extra, message",
     [
-        (((5,), (3, 2)), r"not unitriangular: \[\(5,\)\] left over"),
+        (((5,), (3, 2)), r"column \(3, 2\) has an entry at \(5,\), above its diagonal"),
         (((4, 1), (3, 2)), r"column \(3, 2\) has an entry at \(4, 1\), outside its 2-core block"),
     ],
     ids=["above-diagonal", "across-blocks"],

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fockcanon import fock, matrixio, verify, wedge
+from fockcanon import canonical, fock, matrixio, verify, wedge
 from fockcanon.canonical import canonical_upper
 from fockcanon.cli import main, parse_partition, parse_vector
 from fockcanon.fock import FockVector
@@ -249,10 +249,25 @@ def test_apply_malformed_vector_exits_2():
         assert exc.value.code == 2
 
 
-def test_apply_missing_operator_argument_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["apply", "f", "-n", "2", "--vector", "1"])
-    assert exc.value.code == 2
+def test_apply_missing_operator_argument_exits_2(capsys):
+    for argv, message in [
+        (("f",), "operator f needs --i RESIDUE"),
+        (("e", "--i", "2"), "residue 2 is not in 0..1"),
+        (("f", "--i", "-1"), "residue -1 is not in 0..1"),
+        (("V",), "operator V needs --k K with K >= 0"),
+        (("U", "--k", "-1"), "operator U needs --k K with K >= 0"),
+        (("B",), "operator B needs a nonzero --k"),
+        (("B", "--k", "0"), "operator B needs a nonzero --k"),
+        (("S",), "operator S needs --alpha PARTITION"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["apply", *argv, "-n", "2", "--vector", "1"])
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n"), argv
+    # a bare command prints its help and exits 2
+    assert main([]) == 2
+    assert capsys.readouterr().out.startswith("usage: fock-canon")
 
 
 def test_main_calls_do_not_share_options(capsys):
@@ -386,12 +401,14 @@ def _off_diagonal(change):
          lambda real: lambda n, m: {p: (p,) for ps in real(n, m).values() for p in ps},
          "duality", "n-core block structure"),
         (verify, "steinberg_g_minus", _times(Q), "steinberg", "factorization matches rows"),
+        # every 2-sign +1: the rows of E with a negative 2-sign no longer match
+        (canonical, "two_sign", lambda real: lambda p: 1, "domino", "spin sums match rows"),
     ],
     ids=[
         "bar^2", "bar-f_i", "bar-B_-k", "classical-limit", "heisenberg-commutator",
         "heisenberg-pairing", "strip-heights", "single-ribbons", "two-sign",
         "v-commute", "d-ring", "e-ring", "triangularity", "e-transposed", "blocks",
-        "steinberg",
+        "steinberg", "domino-two-sign",
     ],
 )
 def test_every_verify_check_can_fail(monkeypatch, capsys, module, name, mutant, suite, check):
@@ -435,8 +452,8 @@ def test_entry_of_an_earlier_algorithm_is_recomputed(tmp_path, capsys):
     assert (cache / "D_n2_m4.json").read_text() == stale
 
 
-@pytest.mark.parametrize("kind, n, m", [("A", 2, 4), ("D", 3, 4), ("D", 2, 5)],
-                         ids=["other-kind", "other-n", "other-m"])
+@pytest.mark.parametrize("kind, n, m", [("A", 2, 4), ("E", 2, 4), ("D", 3, 4), ("D", 2, 5)],
+                         ids=["other-kind", "other-kind-E", "other-n", "other-m"])
 def test_document_under_another_key_is_recomputed(tmp_path, capsys, kind, n, m):
     # a valid D document of n=2, m=4 under the file name of another key
     cache = tmp_path / "cache"

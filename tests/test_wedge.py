@@ -155,17 +155,20 @@ def test_b_action_reads_the_images_until_clear_caches(monkeypatch):
     wedge.bar_basis((2, 2), 3)
     fock.f_action(0, v, 3)
     fock.v_op(1, v, 3)
-    assert wedge._straighten_cache and wedge._bar_images and wedge._b_images
-    assert node_row.cache_info().currsize and fock.strip_basis.cache_info().currsize
+    memos = (wedge._straightened, wedge.b_basis, fock.strip_basis, node_row)
+    assert wedge._bar_images and all(memo.cache_info().currsize for memo in memos)
 
     def refuse(k, wv, n):
         raise AssertionError("a stored B_k image was computed again")
 
     monkeypatch.setattr(wedge, "b_action_words", refuse)
+    before = wedge.b_basis.cache_info()
     assert fock.b_action(-2, v, 3) == warm
+    after = wedge.b_basis.cache_info()
+    assert after.hits > before.hits and after.misses == before.misses
     wedge.clear_caches()
-    assert wedge._straighten_cache == wedge._bar_images == wedge._b_images == {}
-    assert node_row.cache_info().currsize == fock.strip_basis.cache_info().currsize == 0
+    assert wedge._bar_images == {}
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
     with pytest.raises(AssertionError, match="computed again"):
         fock.b_action(-2, v, 3)
 
