@@ -7,8 +7,16 @@ interpreter, the equivalent of
 
 once for each kind A, D, E and C, and once more with all four kinds in one
 process (kind "ADEC"), where D's walk is shared by C and the bar images by
-D and E.  Then, for each entry (suite, n, max_m) of perfbench's verify-ops
-plan, it runs the equivalent of
+D and E.  Then it times the cache's read side, once for each kind
+(recorded with "cache": "hit"):
+
+    python -m fockcanon.cli matrix --kind K -n N -m M --cache-dir DIR --format json
+
+DIR is filled beforehand by one untimed process per size that runs these
+four commands on an empty cache, so every timed run loads, checks and
+prints a stored document; its stdout is the document that the --no-cache
+run of the kind printed.  Then, for each entry (suite, n, max_m) of
+perfbench's verify-ops plan, it runs the equivalent of
 
     python -m fockcanon.cli verify --suite SUITE -n N --max-m MAX_M
 
@@ -35,9 +43,11 @@ this checkout's ``src/`` the change side.  Each sample runs both sides one
 right after the other, the base first in every other sample (alternating
 along the runs and along the repeats), so that both sides of a pair see
 the same speed of the machine; how often a run is repeated goes by the
-slower side's first sample.  A record then holds a summary for each side,
-the per-sample ratios of the change's wall time to the base's with their
-median, and whether both sides printed the same stdout.  The file is
+slower side's first sample.  The documents are byte-identical, so both
+sides' hit runs read one cache, filled from this checkout's ``src/``.  A
+record then holds a summary for each side, the per-sample ratios of the
+change's wall time to the base's with their median, and whether both
+sides printed the same stdout.  The file is
 ``BENCH_base-<short REV>.json``.  A file of HEAD against HEAD records the
 null spread of the ratios.
 
@@ -183,14 +193,19 @@ def run_one(argvs: list, timeout: float, out_path: str, err_path: str, src: str)
     return sample
 
 
-def plan(smoke: bool) -> list:
-    """(record head, CLI argvs of its process) for every run, in order."""
+def plan(smoke: bool, cache_dir: str) -> list:
+    """(record head, CLI argvs of its process) for every run, in order; the
+    hit runs read cache_dir."""
     runs = []
     for n, m in SMOKE_SIZES if smoke else SIZES:
         flags = ["-n", str(n), "-m", str(m), "--no-cache", "--format", "json"]
         for kinds in (*KINDS, ALL_KINDS):
             runs.append(({"kind": kinds, "n": n, "m": m},
                          [["matrix", "--kind", kind, *flags] for kind in kinds]))
+        for kind in KINDS:
+            runs.append(({"kind": kind, "n": n, "m": m, "cache": "hit"},
+                         [["matrix", "--kind", kind, "-n", str(n), "-m", str(m),
+                           "--cache-dir", cache_dir, "--format", "json"]]))
     for suite, n, max_m in SMOKE_VERIFY_PLAN if smoke else VERIFY_PLAN:
         runs.append(({"suite": suite, "n": n, "max_m": max_m},
                      [["verify", "--suite", suite, "-n", str(n), "--max-m", str(max_m)]]))
@@ -238,6 +253,21 @@ def pair(head: dict, base: dict, change: dict) -> dict:
     }
 
 
+def fill_cache(runs: list, tmp: str, src: str) -> None:
+    """Run the hit runs of each size in one process, untimed, so that each
+    stores its document in the empty cache that the timed hit runs read."""
+    sizes: dict = {}
+    for head, argvs in runs:
+        if head.get("cache") == "hit":
+            sizes.setdefault((head["n"], head["m"]), []).extend(argvs)
+    for argvs in sizes.values():
+        sample = run_one(argvs, TIMEOUT_S, os.path.join(tmp, "fill.out"),
+                         os.path.join(tmp, "fill.err"), src)
+        if sample["exit_code"]:
+            raise SystemExit(f"bench.py: filling the cache failed: {argvs[0]}\n"
+                             f"{sample.get('stderr_tail', '')}")
+
+
 def passed(record: dict) -> bool:
     return (record["exit_code"] == 0 and record["stdouts_equal"]
             and record.get("equals_single_runs", True))
@@ -257,10 +287,11 @@ def main(argv=None) -> int:
     if args.base:
         base_revision, sides["base"] = export_base(args.base)
     names = sorted(sides)  # base, then change: who goes first alternates
-    runs = plan(args.smoke)
-    samples = {side: [[] for _ in runs] for side in names}
-    equal_to_singles: dict = {side: {} for side in names}
     with tempfile.TemporaryDirectory() as tmp:
+        runs = plan(args.smoke, os.path.join(tmp, "cache"))
+        samples = {side: [[] for _ in runs] for side in names}
+        equal_to_singles: dict = {side: {} for side in names}
+        fill_cache(runs, tmp, sides["change"])
         err_path = os.path.join(tmp, "stderr")
         for rnd in range(REPEATS):
             for i, (head, argvs) in enumerate(runs):
@@ -297,7 +328,9 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs",
         "command": "one process per run: matrix --kind K -n N -m M --no-cache --format json, "
-                   "for each kind K of the run, or verify --suite SUITE -n N --max-m MAX_M",
+                   "for each kind K of the run; for a hit run, matrix --kind K -n N -m M "
+                   "--cache-dir DIR --format json on a cache filled beforehand; or "
+                   "verify --suite SUITE -n N --max-m MAX_M",
         "child": CHILD,
         "peak_rss": "VmHWM of the child at exit",
         "timeout_s": TIMEOUT_S,

@@ -216,7 +216,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
-        parser.print_help()
+        parser.print_help(sys.stderr)  # a usage error: stdout stays empty
         return 2
     handler = {"matrix": _cmd_matrix, "apply": _cmd_apply, "verify": _cmd_verify}[
         args.command

@@ -7,6 +7,11 @@ polynomials only, so serialize -> parse -> serialize is byte-identical.  A
 parsed document must also hold a unitriangular matrix in n-core blocks: unit
 diagonal, no entry joining two blocks, and for D (E) every off-diagonal entry
 in qZ[q] (q^-1 Z[q^-1]).
+
+A document has many entries but few distinct polynomials, so each distinct
+polynomial is decoded and checked (``matrix_from_doc``), encoded
+(``matrix_to_doc``) and rendered (``_grid``) once per document, through a
+table local to the call.
 """
 
 from __future__ import annotations
@@ -32,17 +37,21 @@ class SchemaMismatchError(ValueError):
 
 def matrix_to_doc(mat: TransitionMatrix) -> dict:
     index = {p: i for i, p in enumerate(mat.order)}
-    entries = sorted(
-        (index[r], index[c], poly.to_json())
-        for (r, c), poly in mat.entries.items()
-    )
+    encoded = {}  # terms -> JSON form; keyed by the canonical tuple, hashed in C
+    entries = []
+    for (r, c), poly in mat.entries.items():
+        form = encoded.get(poly.terms())
+        if form is None:
+            form = encoded[poly.terms()] = poly.to_json()
+        entries.append([index[r], index[c], form])
+    entries.sort()
     return {
         "schema": SCHEMA,
         "kind": mat.kind,
         "n": mat.n,
         "m": mat.m,
         "order": [list(p) for p in mat.order],
-        "entries": [list(e) for e in entries],
+        "entries": entries,
     }
 
 
@@ -61,19 +70,32 @@ def matrix_from_doc(doc: dict) -> TransitionMatrix:
         raise SchemaMismatchError("order is not the revlex partition list")
     core = {p: c for c, members in blocks(n, m).items() for p in members}
     in_ring = _OFF_DIAGONAL_RING.get(kind, bool)  # A and C: any nonzero entry
+    decoded = {}  # form (min, *c) -> (value, whether it is in_ring)
     entries = {}
     diagonal = 0
     last = (0, -1)  # strictly increasing from here keeps every row index >= 0
     for ri, ci, poly in doc["entries"]:
-        value = LaurentPoly.from_json(poly)
         key = (ri, ci)
+        # a form is looked up only past from_json's type checks: True == 1
+        # and (0, *"12") == (0, "1", "2"), so an equal form need not be valid
+        form = None
+        if type(poly) is dict and type(poly.get("min")) is int and type(poly.get("c")) is list:
+            form = (poly["min"], *poly["c"])
+        try:
+            value, fits = decoded[form]
+        except (KeyError, TypeError):  # a new form, or one that is not hashable
+            try:
+                value = LaurentPoly.from_json(poly)
+            except (ValueError, KeyError) as exc:
+                raise SchemaMismatchError(f"entry {list(key)} is not a polynomial: {exc}") from exc
+            value, fits = decoded[form] = value, in_ring(value)
         if type(ri) is not int or type(ci) is not int or key <= last or ci < 0 or not value:
             raise SchemaMismatchError(f"entry {list(key)} is zero or out of order")
         last = key
         row, col = order[ri], order[ci]
         if ri == ci:
             diagonal += value == ONE  # counts the unit diagonal entries
-        elif core[row] != core[col] or not in_ring(value):
+        elif core[row] != core[col] or not fits:
             raise SchemaMismatchError(
                 f"entry {list(key)} leaves its {n}-core block or the {kind} ring"
             )
@@ -153,13 +175,18 @@ def cache_load(directory: str, kind: str, n: int, m: int) -> TransitionMatrix:
 
 def _grid(mat: TransitionMatrix, block: Partition | None, text):
     """The partitions shown (the whole order, or the n-core block `block`)
-    and their cells: text(entry) where mat has an entry, "0" elsewhere."""
+    and their cells: text(entry) where mat has an entry, "0" elsewhere;
+    text runs once per distinct entry shown."""
     parts = mat.order if block is None else blocks(mat.n, mat.m)[tuple(block)]
     index = {p: i for i, p in enumerate(parts)}
     cells = [["0"] * len(parts) for _ in parts]
+    texts = {}  # terms -> text, as in matrix_to_doc
     for (r, c), poly in mat.entries.items():
         if r in index and c in index:
-            cells[index[r]][index[c]] = text(poly)
+            cell = texts.get(poly.terms())
+            if cell is None:
+                cell = texts[poly.terms()] = text(poly)
+            cells[index[r]][index[c]] = cell
     return parts, cells
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from fockcanon import canonical, fock, matrixio, verify, wedge
 from fockcanon.canonical import canonical_upper
-from fockcanon.cli import main, parse_partition, parse_vector
+from fockcanon.cli import compute_matrix, main, parse_partition, parse_vector
 from fockcanon.fock import FockVector
 from fockcanon.laurent import LaurentPoly
 
@@ -63,6 +63,53 @@ def test_matrix_json_round_trip(capsys):
                               [1, 1, {"c": ["1"], "min": 0}]]
     # byte-identical re-serialization
     assert matrixio.matrix_to_json(matrixio.matrix_from_json(out)) == out
+
+
+@pytest.mark.parametrize("n, m", [(2, 12), (3, 11), (4, 11)])
+def test_every_kind_round_trips_byte_identically(n, m):
+    for kind in "ADEC":
+        text = matrixio.matrix_to_json(compute_matrix(kind, n, m))
+        assert matrixio.matrix_to_json(matrixio.matrix_from_json(text)) == text, kind
+
+
+def test_each_distinct_polynomial_is_coded_once_per_document(monkeypatch):
+    text = matrixio.matrix_to_json(canonical.a_matrix(3, 10))
+    forms = [json.dumps(poly, sort_keys=True) for _, _, poly in json.loads(text)["entries"]]
+    assert (len(forms), len(set(forms))) == (275, 25)
+    seen = {"from_json": [], "to_json": [], "pretty": [], "latex": []}
+    from_json, to_json = LaurentPoly.from_json, LaurentPoly.to_json
+    pretty, latex = LaurentPoly.pretty, LaurentPoly.latex
+
+    def counted_from_json(cls, doc):
+        seen["from_json"].append(json.dumps(doc, sort_keys=True))
+        return from_json(doc)
+
+    def counted(name, real):
+        def method(self):
+            seen[name].append(self)
+            return real(self)
+        return method
+
+    monkeypatch.setattr(LaurentPoly, "from_json", classmethod(counted_from_json))
+    monkeypatch.setattr(LaurentPoly, "to_json", counted("to_json", to_json))
+    monkeypatch.setattr(LaurentPoly, "pretty", counted("pretty", pretty))
+    monkeypatch.setattr(LaurentPoly, "latex", counted("latex", latex))
+    mat = matrixio.matrix_from_json(text)
+    assert sorted(seen["from_json"]) == sorted(set(forms))
+    assert matrixio.matrix_to_json(mat) == text
+    renders = [matrixio.render_pretty(mat), matrixio.render_csv(mat), matrixio.render_latex(mat)]
+    distinct = set(mat.entries.values())
+    assert len(distinct) == 25 == len(seen["to_json"]) == len(set(seen["to_json"]))
+    assert len(seen["pretty"]) == 2 * 25 and set(seen["pretty"]) == distinct
+    assert len(seen["latex"]) == 25 and set(seen["latex"]) == distinct
+    # with --block, one pretty call per distinct entry of the block shown
+    seen["pretty"].clear()
+    matrixio.render_pretty(mat, (1,))
+    shown = {poly for (r, c), poly in mat.entries.items() if r in canonical.blocks(3, 10)[(1,)]}
+    assert len(seen["pretty"]) == len(shown) and set(seen["pretty"]) == shown
+    monkeypatch.undo()
+    assert renders == [matrixio.render_pretty(mat), matrixio.render_csv(mat),
+                       matrixio.render_latex(mat)]
 
 
 def test_matrix_csv(capsys):
@@ -265,9 +312,10 @@ def test_apply_missing_operator_argument_exits_2(capsys):
         assert exc.value.code == 2, argv
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {message}\n"), argv
-    # a bare command prints its help and exits 2
+    # a bare command prints its help to stderr and exits 2
     assert main([]) == 2
-    assert capsys.readouterr().out.startswith("usage: fock-canon")
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: fock-canon")
 
 
 def test_main_calls_do_not_share_options(capsys):
@@ -563,6 +611,50 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, m, damage):
     code, again = run_cli(capsys, *argv)
     assert (code, again) == (0, first)
     assert path.read_text() == first
+
+
+# each polynomial of test_json_rejects_non_integer_fields (tests/test_laurent.py)
+# that from_json rejects, after a valid one that equals it under == where one
+# exists: (1, "1") == (True, "1") and (0, "1", "2") == (0, *"12")
+@pytest.mark.parametrize(
+    "valid, malformed",
+    [
+        ({"min": 0, "c": ["1"]}, {"min": 0.5, "c": ["1"]}),
+        ({"min": 1, "c": ["1"]}, {"min": 1.0, "c": ["1"]}),
+        ({"min": 1, "c": ["1"]}, {"min": True, "c": ["1"]}),
+        ({"min": 0, "c": ["1"]}, {"min": "0", "c": ["1"]}),
+        ({"min": 0, "c": ["1"]}, {"min": 0, "c": [1.5]}),
+        ({"min": 0, "c": ["1"]}, {"min": 0, "c": [1]}),
+        ({"min": 0, "c": ["1", "2"]}, {"min": 0, "c": "12"}),
+        ({"min": 0, "c": ["10"]}, {"min": 0, "c": [" 1_0"]}),
+        ({"min": 0, "c": ["3"]}, {"min": 0, "c": ["\u0663"]}),
+        ({"min": 0, "c": ["1"]}, {"min": 0, "c": ["+1"]}),
+        ({"min": 0, "c": ["1"]}, {"min": 0, "c": ["01"]}),
+        ({"min": 0, "c": ["1", "0"]}, {"min": 0, "c": ["1", "-0"]}),
+        ({"min": 0, "c": ["1"]}, {"min": 0, "c": [["1"]]}),
+        ({"min": 0, "c": ["1"]}, {"min": 0}),
+        ({"min": 0, "c": ["1"]}, [0, ["1"]]),
+    ],
+    ids=["half-min", "float-min", "bool-min", "str-min", "float-coefficient", "int-coefficient",
+         "str-window", "underscore", "non-ascii-digit", "plus-sign", "leading-zero",
+         "negative-zero", "unhashable-coefficient", "no-window", "not-a-dict"],
+)
+def test_malformed_polynomial_after_an_equal_valid_one_is_rejected(tmp_path, capsys, valid, malformed):
+    # A at n=2, m=4: entries [1, 0] and [2, 0] are off-diagonal, in one block
+    cache = str(tmp_path / "cache")
+    argv = ("matrix", "--kind", "A", "-n", "2", "-m", "4", "--format", "json",
+            "--cache-dir", cache)
+    code, want = run_cli(capsys, *argv)
+    twice = _edit_entries(want, lambda e: _set_entry([2, 0], valid)(_set_entry([1, 0], valid)(e)))
+    matrixio.matrix_from_json(twice)  # the valid form is accepted at both places
+    damaged = _edit_entries(twice, _set_entry([2, 0], malformed))
+    with pytest.raises(matrixio.SchemaMismatchError, match=r"entry \[2, 0\] is not a polynomial"):
+        matrixio.matrix_from_json(damaged)
+    path = Path(matrixio.cache_path(cache, "A", 2, 4))
+    path.write_text(damaged)
+    code, again = run_cli(capsys, *argv)
+    assert (code, again) == (0, want)
+    assert path.read_text() == want
 
 
 def test_failed_cache_store_still_prints_the_matrix(tmp_path, capsys, monkeypatch):
