@@ -1,7 +1,6 @@
 """End-to-end timings of the ``fock-canon`` CLI, one fresh process per run.
 
-For each size (n, m) this runs, from this checkout's ``src/`` in a new
-interpreter, the equivalent of
+For each size (n, m) this runs, in a new interpreter, the equivalent of
 
     python -m fockcanon.cli matrix --kind K -n N -m M --no-cache --format json
 
@@ -20,36 +19,35 @@ perfbench's verify-ops plan, it runs the equivalent of
 
     python -m fockcanon.cli verify --suite SUITE -n N --max-m MAX_M
 
+Every run is a pair: the base side imports REV's ``src/``, exported with
+``git archive`` under ``.bench_out/base-<short REV>/``, and the change
+side this checkout's ``src/``, so the script needs a git checkout.  REV is
+HEAD by default: with uncommitted changes that compares the change with its
+parent, and on a clean tree it is the null pair, whose ratios show the
+spread of a pair that changes nothing.  Each sample runs both sides one
+right after the other, the base first in every other sample (alternating
+along the runs and along the repeats), so that both sides of a pair see the
+same speed of the machine.  The documents are byte-identical, so both
+sides' hit runs read one cache, filled from this checkout's ``src/``.
+
 One run takes the wall time, the peak RSS, the exit code and the SHA-256 of
 stdout of its process.  Every run is repeated in rounds over all runs, so
 that a drift of the machine's speed falls on all of them alike, until it
-has REPEATS samples if its first took under SUB_SECOND_S, else
-LONG_REPEATS (the reach sizes).  A record gives the median wall time with its
-min and max, the median peak RSS, and whether the stdout digests of its
-samples are equal; an ADEC record also gives whether its stdout is the four
-single runs' stdouts one after the other.  The wall time is taken from the
-spawn to a blocking wait for the child's exit, which returns as soon as the
-child exits (a wait with a timeout would poll, sleeping up to 50 ms).  A
-timer kills a run that outlives TIMEOUT_S; it is recorded as timed out, with
-exit code -9.
-The results, with the git revision and the Python version, go to
-``BENCH_<short revision>.json``, whose path is printed.
+has REPEATS samples if the slower side's first took under SUB_SECOND_S,
+else LONG_REPEATS (the reach sizes).  Each side's summary gives the median
+wall time with its min and max, the median peak RSS, and whether the stdout
+digests of its samples are equal; an ADEC run's also gives whether its
+stdout is the four single runs' stdouts one after the other.  A record
+holds both sides' summaries, the per-sample ratios of the change's wall
+time to the base's with their median, and whether both sides printed the
+same stdout.  The wall time is taken from the spawn to a blocking wait for
+the child's exit, which returns as soon as the child exits (a wait with a
+timeout would poll, sleeping up to 50 ms).  A timer kills a run that
+outlives TIMEOUT_S; it is recorded as timed out, with exit code -9.  The
+results, with both revisions and the Python version, go to
+``BENCH_base-<short REV>.json``, whose path is printed.
 
     python benchmarks/bench.py [--out DIR] [--smoke] [--base REV]
-
-With ``--base REV`` every run is a pair: REV's ``src/``, exported with
-``git archive`` under ``.bench_out/base-<short REV>/``, is the base side and
-this checkout's ``src/`` the change side.  Each sample runs both sides one
-right after the other, the base first in every other sample (alternating
-along the runs and along the repeats), so that both sides of a pair see
-the same speed of the machine; how often a run is repeated goes by the
-slower side's first sample.  The documents are byte-identical, so both
-sides' hit runs read one cache, filled from this checkout's ``src/``.  A
-record then holds a summary for each side, the per-sample ratios of the
-change's wall time to the base's with their median, and whether both
-sides printed the same stdout.  The file is
-``BENCH_base-<short REV>.json``.  A file of HEAD against HEAD records the
-null spread of the ratios.
 
 Peak RSS is the child's own VmHWM, which it reads from /proc/self/status at
 exit and writes to stderr (None where there is no /proc).  The child's
@@ -58,11 +56,16 @@ peak, recorded as ``driver_peak_rss_mb``, and keeps it across the exec.
 BENCH files written before this script read VmHWM hold ``ru_maxrss`` as
 peak_rss_mb; those written before it repeated runs hold one sample per run,
 and those written before LONG_REPEATS one sample per run of 1 s or more.
+Files named ``BENCH_<short revision>.json`` are from before every run was a
+pair: they hold one side per run.
 
 Equal stdout digests mean equal matrices and equal verify reports.  The
-exit status is 1 when any run failed or timed out, when the samples of a run
-printed different stdouts, when an ADEC run's stdout differs from its single
-runs', or, with ``--base``, when the two sides printed different stdouts.
+exit status is the gate: it is 1, and each failing run is named on stderr
+with its reason, when on either side a run failed or timed out, the samples
+of a run printed different stdouts, an ADEC run's stdout differs from its
+single runs', a hit run printed another document than its kind's
+--no-cache run, or a run recorded no peak RSS where /proc/self/status
+exists; or when the two sides of a run printed different stdouts.
 """
 
 from __future__ import annotations
@@ -96,6 +99,11 @@ TIMEOUT_S = 300.0
 SUB_SECOND_S = 1.0
 REPEATS = 5
 LONG_REPEATS = 3
+SIDES = ("base", "change")  # who goes first alternates
+# the plan's fields that name a run
+RUN_FIELDS = ("kind", "suite", "n", "m", "max_m", "cache")
+# where the child can read its VmHWM, every run must record a peak RSS
+PROC_STATUS = os.path.exists("/proc/self/status")
 # the child: `main(argv)` for each CLI argv of the JSON list argv[1], then its VmHWM
 CHILD = """
 import json, sys
@@ -147,7 +155,7 @@ def export_base(rev: str) -> tuple[str, str]:
     extracted once under .bench_out/base-<short REV>/."""
     full = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
     if not full:
-        raise SystemExit(f"bench.py: {rev!r} is not a revision of this repository")
+        raise SystemExit(f"bench.py: {rev!r} is not a revision of a git checkout at {ROOT}")
     out = os.path.join(ROOT, ".bench_out", f"base-{full[:7]}")
     src = os.path.join(out, "src")
     if not os.path.isdir(src):
@@ -212,14 +220,13 @@ def plan(smoke: bool, cache_dir: str) -> list:
     return runs
 
 
-def summary(head: dict, samples: list) -> dict:
-    """The record of one run from its samples: median wall time and peak RSS,
-    the first failure, and the first sample's stdout."""
+def summary(samples: list) -> dict:
+    """One side's summary of a run from its samples: median wall time and
+    peak RSS, the first failure, and the first sample's stdout."""
     walls = [s["wall_s"] for s in samples]
     peaks = [s["peak_rss_mb"] for s in samples if s["peak_rss_mb"] is not None]
     failed = [s for s in samples if s["exit_code"]]
     record = {
-        **head,
         "repeats": len(samples),
         "wall_s_samples": walls,
         "wall_s": statistics.median(walls),
@@ -268,9 +275,31 @@ def fill_cache(runs: list, tmp: str, src: str) -> None:
                              f"{sample.get('stderr_tail', '')}")
 
 
-def passed(record: dict) -> bool:
-    return (record["exit_code"] == 0 and record["stdouts_equal"]
-            and record.get("equals_single_runs", True))
+def failures(records: list) -> list:
+    """(run, reason) for each fault of the pair records: the gate that the
+    exit status reports.  A hit run is compared with its kind's --no-cache
+    run at its size, side by side."""
+    cold = {(r["kind"], r["n"], r["m"]): r for r in records if "kind" in r and "cache" not in r}
+    found = []
+    for r in records:
+        run = " ".join(f"{key}={r[key]}" for key in RUN_FIELDS if key in r)
+        for side in SIDES:
+            s = r[side]
+            if s["exit_code"]:
+                found.append((run, f"{side} exited {s['exit_code']}"
+                                   + (" (timed out)" if s["timed_out"] else "")))
+            if not s["stdouts_equal"]:
+                found.append((run, f"{side}'s samples printed different stdouts"))
+            if not s.get("equals_single_runs", True):
+                found.append((run, f"{side}'s stdout is not its single runs' stdouts"))
+            if PROC_STATUS and s["peak_rss_mb"] is None:
+                found.append((run, f"{side} recorded no peak RSS"))
+            if r.get("cache") == "hit":
+                if s["stdout_sha256"] != cold[r["kind"], r["n"], r["m"]][side]["stdout_sha256"]:
+                    found.append((run, f"{side} printed another document than its --no-cache run"))
+        if not r["sides_equal"]:
+            found.append((run, "the two sides printed different stdouts"))
+    return found
 
 
 def main(argv=None) -> int:
@@ -279,27 +308,24 @@ def main(argv=None) -> int:
                         help="directory for the BENCH file (default: benchmarks/)")
     parser.add_argument("--smoke", action="store_true",
                         help=f"tiny sizes {SMOKE_SIZES} and the smoke verify plan only")
-    parser.add_argument("--base", metavar="REV",
-                        help="pair every run with REV's src/, the two sides alternating")
+    parser.add_argument("--base", metavar="REV", default="HEAD",
+                        help="the revision whose src/ is the base side (default: HEAD)")
     args = parser.parse_args(argv)
-    revision = _git("rev-parse", "HEAD") or "unknown"
-    sides = {"change": os.path.join(ROOT, "src")}
-    if args.base:
-        base_revision, sides["base"] = export_base(args.base)
-    names = sorted(sides)  # base, then change: who goes first alternates
+    base_revision, base_src = export_base(args.base)
+    sides = {"base": base_src, "change": os.path.join(ROOT, "src")}
     with tempfile.TemporaryDirectory() as tmp:
         runs = plan(args.smoke, os.path.join(tmp, "cache"))
-        samples = {side: [[] for _ in runs] for side in names}
-        equal_to_singles: dict = {side: {} for side in names}
+        samples = {side: [[] for _ in runs] for side in SIDES}
+        equal_to_singles: dict = {side: {} for side in SIDES}
         fill_cache(runs, tmp, sides["change"])
         err_path = os.path.join(tmp, "stderr")
         for rnd in range(REPEATS):
             for i, (head, argvs) in enumerate(runs):
                 if rnd:
-                    first = max(samples[side][i][0]["wall_s"] for side in names)
+                    first = max(samples[side][i][0]["wall_s"] for side in SIDES)
                     if rnd >= (LONG_REPEATS if first >= SUB_SECOND_S else REPEATS):
                         continue
-                for side in names if (rnd + i) % 2 == 0 else names[::-1]:
+                for side in SIDES if (rnd + i) % 2 == 0 else SIDES[::-1]:
                     out_path = os.path.join(tmp, f"{side}-{i}.out")
                     sample = run_one(argvs, TIMEOUT_S, out_path, err_path, sides[side])
                     samples[side][i].append(sample)
@@ -308,23 +334,16 @@ def main(argv=None) -> int:
                         singles = [os.path.join(tmp, f"{side}-{j}.out")
                                    for j in range(i - len(KINDS), i)]
                         equal_to_singles[side][i] = sample["stdout_sha256"] == _sha256(*singles)
-    summaries = {}
-    for side in names:
-        summaries[side] = [summary({} if args.base else head, s)
-                           for (head, _), s in zip(runs, samples[side])]
+    summaries = {side: [summary(s) for s in samples[side]] for side in SIDES}
+    for side in SIDES:
         for i, same in equal_to_singles[side].items():
             summaries[side][i]["equals_single_runs"] = same
-    if args.base:
-        records = [pair(head, b, c) for (head, _), b, c
-                   in zip(runs, summaries["base"], summaries["change"])]
-        ok = all(passed(r["base"]) and passed(r["change"]) and r["sides_equal"] for r in records)
-    else:
-        records = summaries["change"]
-        ok = all(passed(r) for r in records)
+    records = [pair(head, b, c) for (head, _), b, c
+               in zip(runs, summaries["base"], summaries["change"])]
     doc = {
-        "revision": revision,
+        "revision": _git("rev-parse", "HEAD"),
         "src_modified": bool(_git("status", "--porcelain", "--", "src")),
-        **({"base_revision": base_revision} if args.base else {}),
+        "base_revision": base_revision,
         "python": platform.python_version(),
         "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs",
         "command": "one process per run: matrix --kind K -n N -m M --no-cache --format json, "
@@ -336,19 +355,21 @@ def main(argv=None) -> int:
         "timeout_s": TIMEOUT_S,
         "repeats": f"{REPEATS} samples for a run under {SUB_SECOND_S} s, else {LONG_REPEATS}; "
                    "wall_s and peak_rss_mb are medians",
-        **({"pairs": "each sample runs base and change back to back, base first in "
-                     "every other sample; ratios are change/base per sample"} if args.base else {}),
+        "pairs": "each sample runs base and change back to back, base first in "
+                 "every other sample; ratios are change/base per sample",
         "driver_peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "runs": records,
     }
     os.makedirs(args.out, exist_ok=True)
-    name = f"base-{base_revision[:7]}" if args.base else revision[:7]
-    path = os.path.join(args.out, f"BENCH_{name}.json")
+    path = os.path.join(args.out, f"BENCH_base-{base_revision[:7]}.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     print(path)
-    return 0 if ok else 1
+    bad = failures(records)
+    for run, reason in bad:
+        print(f"bench.py: {run}: {reason}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

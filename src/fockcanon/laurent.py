@@ -220,20 +220,7 @@ def add_column(sums: dict, column: list, x: tuple) -> None:
     and x are given as their (exponent, coefficient) pairs: the product loop
     of ``fock``'s operator sums, B_k, V_k and U_k as linear maps over stored
     images of basis vectors.
-
-    A monomial x gives shifted, scaled copies of a, and a row not yet in
-    sums gets that copy as its sum.
     """
-    if len(x) == 1:
-        ((j, y),) = x
-        for row, a in column:
-            acc = sums.get(row)
-            if acc is None:
-                sums[row] = {i + j: c * y for i, c in a}
-            else:
-                for i, c in a:
-                    acc[i + j] = acc.get(i + j, 0) + c * y
-        return
     for row, a in column:
         acc = sums.setdefault(row, {})
         for i, c in a:

@@ -59,6 +59,17 @@ _OFF_DIAGONAL_RING = {"D": LaurentPoly.in_positive_ring, "E": LaurentPoly.in_neg
 
 
 def matrix_from_doc(doc: dict) -> TransitionMatrix:
+    """The matrix of a parsed document; SchemaMismatchError for any document
+    that is not one, whatever part of it is malformed."""
+    try:
+        return _decode(doc)
+    except SchemaMismatchError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise SchemaMismatchError(f"malformed document: {type(exc).__name__}: {exc}") from exc
+
+
+def _decode(doc: dict) -> TransitionMatrix:
     if doc.get("schema") != SCHEMA:
         raise SchemaMismatchError(f"unexpected schema {doc.get('schema')!r}")
     kind, n, m = doc["kind"], doc["n"], doc["m"]
@@ -166,7 +177,7 @@ def cache_load(directory: str, kind: str, n: int, m: int) -> TransitionMatrix:
         raise CacheMissError(f"no cache entry {path}") from None
     except OSError as exc:
         raise ValueError(f"cache entry {path} is unusable: {exc.strerror}") from None
-    except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as exc:
+    except (ValueError, LookupError, TypeError, RecursionError) as exc:
         raise SchemaMismatchError(f"cache entry {path} cannot be decoded: {exc}") from exc
 
 
@@ -193,13 +204,11 @@ def _grid(mat: TransitionMatrix, block: Partition | None, text):
 def render_pretty(mat: TransitionMatrix, block: Partition | None = None) -> str:
     parts, cells = _grid(mat, block, LaurentPoly.pretty)
     labels = [partition_label(p) for p in parts]
-    width = [
-        max([len(row[j]) for row in cells] + [1]) for j in range(len(parts))
-    ]
+    width = [max(map(len, column)) for column in zip(*cells)]
     lw = max((len(s) for s in labels), default=1)
     lines = []
     for label, row in zip(labels, cells):
-        body = " ".join(s.rjust(width[j]) for j, s in enumerate(row))
+        body = " ".join(map(str.rjust, row, width))
         lines.append(f"{label.rjust(lw)}: {body}")
     return "\n".join(lines) + "\n"
 

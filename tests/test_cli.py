@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import threading
 from pathlib import Path
@@ -70,6 +71,19 @@ def test_every_kind_round_trips_byte_identically(n, m):
     for kind in "ADEC":
         text = matrixio.matrix_to_json(compute_matrix(kind, n, m))
         assert matrixio.matrix_to_json(matrixio.matrix_from_json(text)) == text, kind
+
+
+def test_the_148_documents_are_pinned():
+    # A, D, E and C for n=2 up to m=12 and n=3, 4 up to m=11, from cold memos
+    wedge.clear_caches()
+    canonical.canonical_upper.cache_clear()
+    canonical.canonical_lower.cache_clear()
+    digest = hashlib.sha256()
+    for n, top in ((2, 12), (3, 11), (4, 11)):
+        for m in range(top + 1):
+            for kind in "ADEC":
+                digest.update(matrixio.matrix_to_json(compute_matrix(kind, n, m)).encode())
+    assert digest.hexdigest() == "5b7346e7f45eb5e349ef88b181d56d123ecd55309e90b243834fb5bd2eae89e8"
 
 
 def test_each_distinct_polynomial_is_coded_once_per_document(monkeypatch):
@@ -540,6 +554,28 @@ def test_cache_load_rejects_corrupted_schema(tmp_path):
     Path(path).write_text(json.dumps(doc))
     with pytest.raises(matrixio.SchemaMismatchError):
         matrixio.cache_load(str(tmp_path), "D", 2, 3)
+
+
+# A at n=2, m=1: order [[1]], one entry [0, 0] = 1
+A_2_1 = {"schema": matrixio.SCHEMA, "kind": "A", "n": 2, "m": 1, "order": [[1]],
+         "entries": [[0, 0, {"min": 0, "c": ["1"]}]]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"schema": matrixio.SCHEMA},
+        {**A_2_1, "entries": [[0, 0]]},
+        {**A_2_1, "entries": [[5, 0, {"min": 0, "c": ["1"]}]]},
+        [],
+        {**A_2_1, "entries": 3},
+    ],
+    ids=["only-schema", "entry-without-polynomial", "row-past-order", "a-list", "int-entries"],
+)
+def test_every_malformed_document_raises_schema_mismatch(doc):
+    matrixio.matrix_from_json(json.dumps(A_2_1))  # the undamaged document is accepted
+    with pytest.raises(matrixio.SchemaMismatchError, match="malformed document"):
+        matrixio.matrix_from_json(json.dumps(doc))
 
 
 def _edit_entries(text, edit):
