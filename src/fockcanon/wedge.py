@@ -11,9 +11,9 @@ its moved entry passes, and the image B_k|p> of a basis vector is computed
 once (``b_basis``).  Both memos are ``functools.lru_cache`` functions, like
 the strip images V_k|p> and U_k|p> that fock keeps (``fock.strip_basis``)
 and the node rows (``partitions.node_row``), so each reports its hits,
-misses and size through ``cache_info()``; only the bar images, which
-``_build`` writes a run at a time, are a dict.  ``clear_caches`` is the one
-lifetime of every image of a basis vector.
+misses and size through ``cache_info()``; so does the bar image memo,
+``_bar_image``.  ``clear_caches`` is the one lifetime of every image of a
+basis vector.
 
 The layer works on basis vectors only, as the bar involution and B_k are
 defined on single wedges: both take one partition and give its image keyed
@@ -30,23 +30,24 @@ Bar images come by three routes, tried in this order (see ``bar_basis``):
     (3,3,3,1) for n=3, bar|lam> is the reversal of the word of lam, which
     is the reversal of the word of lam[1:] with lam_1 appended: the image
     of lam[1:], shifted by -1, has lam_1 inserted into each of its words.
-All three build an image from images already built, and only the row step
-straightens; the fock module is imported as a module, so the import cycle
-with it resolves at call time.
+All three build an image from images of a lower degree or lex-smaller in
+the same degree, read through ``_bar_image`` itself, so a missing image
+builds exactly the images it needs, and only the row step straightens; the
+fock module is imported as a module, so the import cycle with it resolves
+at call time.  ``bar_basis`` reads one image, ``bar_degree`` every image of
+a degree, which is how the A matrix and the canonical bases ask for them.
 
-Images are built in runs (``_build``): ``bar_basis`` starts one for a single
-missing image, ``bar_degree`` one for every missing image of a degree, which
-is how the A matrix and the canonical bases ask for them.  The f-steps read
-``partitions.node_row``, the memoized row of a partition that holds its
-f-step and its f_i for every residue i (``add_node_variants``), for the
-partitions they reach and for the terms of the images they lift, so each
-partition's rim is scanned once until ``clear_caches``; ``fock.f_action``
-reads the same rows, and f_i on an image is fock's f_i loop.
+The f-steps read ``partitions.node_row``, the memoized row of a partition
+that holds its f-step and its f_i for every residue i
+(``add_node_variants``), for the partitions they reach and for the terms of
+the images they lift, so each partition's rim is scanned once until
+``clear_caches``; ``fock.f_action`` reads the same rows, and f_i on an image
+is fock's f_i loop.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import _straighten_py as _kernel
 from . import fock
@@ -55,6 +56,7 @@ from .partitions import (
     NotApplicableError,
     Partition,
     add_node_variants,
+    check_partition,
     node_row,
     revlex_order,
     steinberg_decompose,
@@ -111,15 +113,11 @@ def extend_head(w: Word, K: int) -> Word:
     return w + tuple(-k for k in range(len(w), K))
 
 
-_bar_images: dict[tuple[int, Partition], dict[Partition, LaurentPoly]] = {}
-
-
 def clear_caches() -> None:
-    """Drop every image of a basis vector: the bar images, the straightened
-    words, the B_k images, the strip images of V_k and U_k
+    """Drop every image of a basis vector: the bar images (_bar_image), the
+    straightened words, the B_k images, the strip images of V_k and U_k
     (fock.strip_basis) and the node rows."""
-    _bar_images.clear()
-    for memo in (_straightened, b_basis, fock.strip_basis, node_row):
+    for memo in (_bar_image, _straightened, b_basis, fock.strip_basis, node_row):
         memo.cache_clear()
 
 
@@ -225,14 +223,13 @@ def _f_column(lam: Partition, n: int, i: int, mu: Partition) -> dict[Partition, 
     lam.  The top coefficient is 1: the f-step rule leaves no i-node of lam
     above b, so N_i^r = 0 for b.  Every a lies below b, so every lam-b+a is
     lex-smaller than lam.  f_i bar|mu> is fock's f_i loop, fock.node_sums,
-    and each correction is added by laurent.add_shifted.  Every image used
-    must already be in _bar_images.
+    and each correction is added by laurent.add_shifted.
     """
-    sums = fock.node_sums(add_node_variants, 1, i, _bar_images[(n, mu)], n)
+    sums = fock.node_sums(add_node_variants, 1, i, _bar_image(mu, n), n)
     for target, e_a in add_node_variants(mu, i, n):
         if target == lam:
             continue
-        for nu, c in _bar_images[(n, target)].items():
+        for nu, c in _bar_image(target, n).items():
             add_shifted(sums.setdefault(nu, {}), c.terms(), -e_a, -1)
     return _unitriangular(lam, collect(sums), f"f_{i}")
 
@@ -258,16 +255,15 @@ def _s_column(
 
     S_alpha|mu> = top = t|lam> + sum s_nu|nu> as in _s_step; bar commutes
     with S_alpha.  bar|mu> is |mu> plus lex-smaller terms, so S_alpha bar|mu>
-    is top plus S_alpha of those terms.  Every image used must already be in
-    _bar_images.
+    is top plus S_alpha of those terms.
     """
-    below_mu = {x: dict(c.terms()) for x, c in _bar_images[(n, mu)].items() if x != mu}
+    below_mu = {x: dict(c.terms()) for x, c in _bar_image(mu, n).items() if x != mu}
     sums = fock.s_sums(alpha, below_mu, n)
     for nu, s in top.items():
         add_shifted(sums.setdefault(nu, {}), s.terms())
         if nu != lam:
             scale = -s.bar()
-            for y, c in _bar_images[(n, nu)].items():
+            for y, c in _bar_image(nu, n).items():
                 add_product(sums.setdefault(y, {}), c, scale)
     col = collect(sums)
     if top[lam] != ONE:  # t = -1
@@ -286,13 +282,13 @@ def _row_column(lam: Partition, n: int) -> dict[Partition, LaurentPoly]:
     straighten(rev(w')) is c(w')^-1 bar|lam[1:]> with every word shifted by
     -1; straightening it first and then inserting lam_1 gives the same normal
     form.  c(w) c(w')^-1 = (-1)^(k-1) q^a, where a counts the entries of w'
-    not congruent to lam_1.  bar|lam[1:]> must already be in _bar_images.
+    not congruent to lam_1.
     """
     k = sum(lam)
     w = partition_to_word(lam, k)
     pref = LaurentPoly.monomial((-1) ** (k - 1), sum((v - w[0]) % n != 0 for v in w[1:]))
     sums: dict[Partition, dict[int, int]] = {}
-    for nu, c in _bar_images[(n, lam[1:])].items():
+    for nu, c in _bar_image(lam[1:], n).items():
         row = tuple(v - 1 for v in partition_to_word(nu, k - 1)) + (w[0],)
         scale = pref * c
         for res, poly in _straighten_minimal(row, n):
@@ -300,12 +296,28 @@ def _row_column(lam: Partition, n: int) -> dict[Partition, LaurentPoly]:
     return _unitriangular(lam, collect(sums), "the row step")
 
 
+@lru_cache(maxsize=None)
+def _bar_image(lam: Partition, n: int) -> dict[Partition, LaurentPoly]:
+    """bar|lam>, built once by the first route of bar_basis that applies and
+    kept until clear_caches.  Each route reads the images it needs through
+    _bar_image, one degree lower or lex-smaller in the same degree, so the
+    recursion ends.  Read it, do not change it."""
+    check_partition(lam)
+    if (f_step := node_row(lam, n)[0]) is not None:
+        return _f_column(lam, n, *f_step)
+    if (s_step := _s_step(lam, n)) is not None:
+        return _s_column(lam, n, *s_step)
+    if lam:
+        return _row_column(lam, n)
+    return {(): ONE}  # bar fixes the vacuum
+
+
 def bar_basis(p: Partition, n: int) -> dict[Partition, LaurentPoly]:
     """Bar involution of the basis vector of p, expanded over partitions.
 
     Each image comes by the first of three routes that applies; the images a
-    route needs, one degree lower or lex-smaller in the same degree, are
-    built first:
+    route needs, one degree lower or lex-smaller in the same degree, are read
+    through the memo _bar_image, which builds a missing one first:
       f-step: bar(f_i v) = f_i bar(v) when the row of lam
         (partitions.node_row) has an f-step (_f_column);
       S-step: bar(S_alpha v) = S_alpha bar(v) when lam' is n-singular, so
@@ -314,56 +326,13 @@ def bar_basis(p: Partition, n: int) -> dict[Partition, LaurentPoly]:
         reaches, such as (1,1,1,1) for n=2 and (3,3,3,1) for n=3, bar|lam>
         from bar|lam[1:]> by straightening each of its words, shifted by -1,
         with lam_1 appended (_row_column).
-    A stored image is copied out at once.  A missing one is built in a run of
-    its own (_build); bar_degree builds a whole degree in one run.
+    The image is a copy of the stored one.  A tuple that is not a
+    partition raises ValueError.
     """
-    image = _bar_images.get((n, p))
-    if image is None:
-        _build((p,), n)
-        image = _bar_images[(n, p)]
-    return dict(image)
+    return dict(_bar_image(p, n))
 
 
 def bar_degree(m: int, n: int) -> dict[Partition, dict[Partition, LaurentPoly]]:
-    """The bar images of every partition of m, in revlex order, the missing
-    ones built in one run (_build).  The images are the stored ones: read
-    them, do not change them."""
-    order = revlex_order(m)
-    missing = [p for p in order if (n, p) not in _bar_images]
-    if missing:
-        _build(missing, n)
-    return {p: _bar_images[(n, p)] for p in order}
-
-
-def _build(targets, n: int) -> None:
-    """Build the bar images of targets, and every image they need, into
-    _bar_images by the routes of bar_basis, on an explicit stack.  A build
-    waits, in planned, until the images it needs are built; for an f-step
-    these are bar|mu> and every bar|lam-b+a> (see _f_column)."""
-    pending = list(targets)
-    planned: dict[Partition, partial] = {}  # builds waiting for the images they need
-    while pending:
-        lam = pending[-1]
-        if (n, lam) in _bar_images:
-            pending.pop()
-            continue
-        build = planned.pop(lam, None)
-        if build is None:
-            if (f_step := node_row(lam, n)[0]) is not None:
-                i, mu = f_step
-                needs = (mu, *dict(add_node_variants(mu, i, n)))
-                build = partial(_f_column, lam, n, i, mu)
-            elif (s_step := _s_step(lam, n)) is not None:
-                alpha, mu, top = s_step
-                needs, build = (mu, *top), partial(_s_column, lam, n, alpha, mu, top)
-            elif lam:
-                needs, build = (lam[1:],), partial(_row_column, lam, n)
-            else:
-                _bar_images[(n, lam)] = {(): ONE}  # bar fixes the vacuum
-                continue
-            missing = [nu for nu in needs if nu != lam and (n, nu) not in _bar_images]
-            if missing:
-                planned[lam] = build
-                pending += missing
-                continue
-        _bar_images[(n, lam)] = build()
+    """The bar images of every partition of m, in revlex order.  The images
+    are the stored ones: read them, do not change them."""
+    return {p: _bar_image(p, n) for p in revlex_order(m)}

@@ -155,8 +155,8 @@ def test_b_action_reads_the_images_until_clear_caches(monkeypatch):
     wedge.bar_basis((2, 2), 3)
     fock.f_action(0, v, 3)
     fock.v_op(1, v, 3)
-    memos = (wedge._straightened, wedge.b_basis, fock.strip_basis, node_row)
-    assert wedge._bar_images and all(memo.cache_info().currsize for memo in memos)
+    memos = (wedge._bar_image, wedge._straightened, wedge.b_basis, fock.strip_basis, node_row)
+    assert all(memo.cache_info().currsize for memo in memos)
 
     def refuse(k, wv, n):
         raise AssertionError("a stored B_k image was computed again")
@@ -167,7 +167,6 @@ def test_b_action_reads_the_images_until_clear_caches(monkeypatch):
     after = wedge.b_basis.cache_info()
     assert after.hits > before.hits and after.misses == before.misses
     wedge.clear_caches()
-    assert wedge._bar_images == {}
     assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
     with pytest.raises(AssertionError, match="computed again"):
         fock.b_action(-2, v, 3)
@@ -389,22 +388,46 @@ def test_f_action_and_the_f_step_read_one_memo(monkeypatch):
         wedge.clear_caches()
 
 
-def test_warm_bar_basis_does_not_enter_the_build(monkeypatch):
+def test_warm_bar_basis_does_not_enter_the_build():
     wedge.clear_caches()
     try:
         a = canonical.a_matrix(2, 4)
-
-        def entered(targets, n):
-            raise AssertionError("a warm hit entered the build")
-
-        monkeypatch.setattr(wedge, "_build", entered)
+        before = wedge._bar_image.cache_info()
         for mu in a.order:
             assert wedge.bar_basis(mu, 2) == a.column(mu).terms
         assert canonical.a_matrix(2, 4) == a
-        with pytest.raises(AssertionError, match="entered the build"):
-            wedge.bar_basis((5,), 2)
+        warm = wedge._bar_image.cache_info()
+        assert warm.misses == before.misses
+        assert warm.hits >= before.hits + len(a.order)
+        wedge.bar_basis((5,), 2)
+        assert wedge._bar_image.cache_info().misses > warm.misses
     finally:
         wedge.clear_caches()
+
+
+def test_one_cold_image_builds_only_its_closure():
+    wedge.clear_caches()
+    try:
+        wedge.bar_basis((4, 3, 3, 2, 1), 2)
+        cold = wedge._bar_image.cache_info()
+        # the images (4,3,3,2,1) needs, not every image of degree <= 13 (373)
+        assert cold.currsize == cold.misses == 63
+        wedge.bar_basis((4, 3, 3, 2, 1), 2)
+        warm = wedge._bar_image.cache_info()
+        assert (warm.hits, warm.misses, warm.currsize) == (cold.hits + 1, 63, 63)
+    finally:
+        wedge.clear_caches()
+
+
+@pytest.mark.parametrize("lam", [(-1,), (0,), (1, 2), (2, 0)])
+@pytest.mark.parametrize(
+    "bar",
+    [wedge.bar_basis, lambda lam, n: fock.bar(fock.FockVector({lam: Q(1)}), n)],
+    ids=["bar_basis", "fock.bar"],
+)
+def test_bar_rejects_a_non_partition(bar, lam):
+    with pytest.raises(ValueError, match="positive|weakly decreasing"):
+        bar(lam, 2)
 
 
 def test_f_step_top_coefficient_is_one():
@@ -570,9 +593,11 @@ def test_only_case_b_partitions_are_straightened(monkeypatch):
 
 def test_clear_caches_makes_bar_images_cold(monkeypatch):
     canonical.a_matrix(2, 6)
-    assert (2, (6,)) in wedge._bar_images
+    before = wedge._bar_image.cache_info()
+    wedge.bar_basis((6,), 2)
+    assert wedge._bar_image.cache_info().misses == before.misses
     wedge.clear_caches()
-    assert wedge._bar_images == {}
+    assert wedge._bar_image.cache_info().currsize == 0
     calls = []
     real = wedge._kernel.straighten_terms
 
