@@ -5,8 +5,9 @@ For each size (n, m) this runs, in a new interpreter, the equivalent of
     python -m fockcanon.cli matrix --kind K -n N -m M --no-cache --format json
 
 once for each kind A, D, E and C, and once more with all four kinds in one
-process (kind "ADEC"), where D's walk is shared by C and the bar images by
-D and E.  Then it times the cache's read side, once for each kind
+process (kind "ADEC"), where the bar images are shared by A and D, and D's
+walk and C's walk by E and C: E is read off C there, while a single E run
+takes E's own walk.  Then it times the cache's read side, once for each kind
 (recorded with "cache": "hit"):
 
     python -m fockcanon.cli matrix --kind K -n N -m M --cache-dir DIR --format json
@@ -94,7 +95,7 @@ KINDS = ("A", "D", "E", "C")
 ALL_KINDS = "".join(KINDS)
 # the north star's end-to-end sizes, then the reach sizes
 SIZES = ((2, 13), (3, 12), (4, 12), (2, 18), (2, 20), (3, 20), (4, 22), (3, 22), (4, 24))
-SMOKE_SIZES = ((2, 6), (3, 5))
+SMOKE_SIZES = ((2, 6), (3, 5), (4, 6))
 TIMEOUT_S = 300.0
 SUB_SECOND_S = 1.0
 REPEATS = 5

@@ -20,10 +20,18 @@ Matrix kinds and orientations:
   D: upper basis,     column mu = G(mu)
   E: lower basis,     row lam  = G^-(lam)
   C: inverse of D     (adjoint-basis coefficients)
+
+C is solved once per D and kept on it.  E has two routes to one result.
+When a D of the same (n, m) is alive, E is read off its C by the duality
+e_{lam,mu}(q) = c_{lam',mu'}(1/q): C's walk over the sparse columns of D
+costs about half E's walk over the bar images, so a process that asks for
+D, E and C walks D and C only.  A cold E alone takes its own walk, which
+costs less than D's walk and C's together at the small n=2 sizes.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -193,22 +201,47 @@ def _canonical_basis(
     return {(mu, lam): x for (lam, mu), x in entries.items()} if lower else entries
 
 
+# The D of each (n, m) for as long as something holds it (canonical_upper's
+# memo or a caller): weak, so that clearing the memo lets D and its C go.
+_uppers: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=None)
 def canonical_upper(n: int, m: int) -> TransitionMatrix:
     """Matrix D: column mu holds G(mu) = |mu> + sum_{lam} d_{lam mu} |lam>."""
-    return TransitionMatrix("D", n, m, _canonical_basis(n, m, lower=False))
+    d = _uppers[n, m] = TransitionMatrix("D", n, m, _canonical_basis(n, m, lower=False))
+    return d
 
 
 @lru_cache(maxsize=None)
 def canonical_lower(n: int, m: int) -> TransitionMatrix:
-    """Matrix E: row lam holds G^-(lam) = sum_mu e_{lam mu} |mu>."""
+    """Matrix E: row lam holds G^-(lam) = sum_mu e_{lam mu} |mu>.
+
+    With a D of (n, m) alive, E is C's entries conjugated and barred: C is
+    then solved once for both, and its walk costs about half E's.  Without
+    one, E takes its own walk (``lower_by_walk``), since D's walk and C's
+    together cost up to 1.8x E's walk at n=2.
+    """
+    d = _uppers.get((n, m))
+    if d is None:
+        return lower_by_walk(n, m)
+    return TransitionMatrix("E", n, m, _conjugate_bar(adjoint_matrix(d)))
+
+
+def lower_by_walk(n: int, m: int) -> TransitionMatrix:
+    """Matrix E by its own walk over the bar images, whatever D is alive:
+    the oracle that the duality check compares with C."""
     return TransitionMatrix("E", n, m, _canonical_basis(n, m, lower=True))
 
 
 def adjoint_matrix(d: TransitionMatrix) -> TransitionMatrix:
-    """Matrix C = D^-1 by forward substitution in each n-core block."""
+    """Matrix C = D^-1 by forward substitution in each n-core block, solved
+    once per D object and kept on it, so that C lives as long as its D."""
     if d.kind != "D":
         raise ValueError("adjoint_matrix expects a D matrix")
+    c = vars(d).get("_adjoint")
+    if c is not None:
+        return c
     columns: dict[Partition, dict[Partition, LaurentPoly]] = {}
     for (lam, nu), a in d.entries.items():
         columns.setdefault(nu, {})[lam] = a
@@ -218,17 +251,22 @@ def adjoint_matrix(d: TransitionMatrix) -> TransitionMatrix:
         return x, x
 
     entries = _block_walk(d.n, d.m, lambda nu: columns.get(nu, {}), settle)
-    return TransitionMatrix("C", d.n, d.m, entries)
+    c = vars(d)["_adjoint"] = TransitionMatrix("C", d.n, d.m, entries)
+    return c
 
 
 def check_duality(e: TransitionMatrix, c: TransitionMatrix) -> bool:
     """Entrywise identity c_{lam,mu}(q) = e_{lam',mu'}(1/q)."""
     if (e.n, e.m) != (c.n, c.m):
         raise ValueError("matrices are not comparable")
-    conj = {p: conjugate(p) for p in e.order}
-    return c.entries == {
-        (conj[lam], conj[mu]): v.bar() for (lam, mu), v in e.entries.items()
-    }
+    return c.entries == _conjugate_bar(e)
+
+
+def _conjugate_bar(mat: TransitionMatrix) -> dict[tuple[Partition, Partition], LaurentPoly]:
+    """The entries (lam', mu'): v(1/q) for the entries (lam, mu): v of mat,
+    which takes C to E and E to C."""
+    conj = {p: conjugate(p) for p in mat.order}
+    return {(conj[lam], conj[mu]): v.bar() for (lam, mu), v in mat.entries.items()}
 
 
 def steinberg_g_minus(p: Partition, n: int) -> FockVector:

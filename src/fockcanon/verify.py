@@ -16,6 +16,7 @@ from .canonical import (
     canonical_upper,
     check_duality,
     domino_theorem_check,
+    lower_by_walk,
     steinberg_g_minus,
 )
 from .fock import FockVector
@@ -375,7 +376,7 @@ def run_duality(n: int, max_m: int) -> Report:
     rep = Report("duality")
     for m in range(max_m + 1):
         d = canonical_upper(n, m)
-        e = canonical_lower(n, m)
+        e = lower_by_walk(n, m)  # not read off C, which it is checked against
         c = adjoint_matrix(d)
         rep.add(f"D*C = I, m={m}", d.matmul(c).is_identity())
         rep.add(f"c = e-conjugate-bar, m={m}", check_duality(e, c))

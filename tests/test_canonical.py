@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import zip_longest
 
 import pytest
@@ -13,6 +14,7 @@ from fockcanon.canonical import (
     canonical_upper,
     check_duality,
     domino_theorem_check,
+    lower_by_walk,
     steinberg_decompose,
     steinberg_g_minus,
 )
@@ -372,11 +374,74 @@ def test_duality_examples():
 
 
 def test_duality_sweep():
+    # E by its own walk: canonical_lower with D at hand would be C relabelled
     for n in (2, 3):
         for m in range(7):
             assert check_duality(
-                canonical_lower(n, m), adjoint_matrix(canonical_upper(n, m))
+                lower_by_walk(n, m), adjoint_matrix(canonical_upper(n, m))
             )
+
+
+def _lower_walks(monkeypatch) -> list:
+    """(n, m) of every walk for E from here on."""
+    walks = []
+    real = canonical._canonical_basis
+
+    def counted(n, m, lower):
+        if lower:
+            walks.append((n, m))
+        return real(n, m, lower)
+
+    monkeypatch.setattr(canonical, "_canonical_basis", counted)
+    return walks
+
+
+def _off_c_mismatches(n, m, walks) -> list:
+    """The keys where E, read off C with D at hand, differs from E's walk."""
+    canonical_upper(n, m)
+    canonical_lower.cache_clear()
+    walks.clear()
+    routed = canonical_lower(n, m).entries
+    assert walks == [], f"E walked at n={n}, m={m} with D at hand"
+    walked = lower_by_walk(n, m).entries
+    return sorted(k for k in routed.keys() | walked.keys() if routed.get(k) != walked.get(k))
+
+
+def test_e_read_off_c_equals_the_walk(monkeypatch):
+    walks = _lower_walks(monkeypatch)
+    for n in (2, 3, 4):
+        for m in range(11):
+            assert _off_c_mismatches(n, m, walks) == [], (n, m)
+
+
+def test_one_exponent_of_c_moved_fails_through_e(monkeypatch):
+    walks = _lower_walks(monkeypatch)
+    real = adjoint_matrix
+    c = real(canonical_upper(3, 6))
+    key = min(k for k, v in c.entries.items() if k[0] != k[1] and len(v.terms()) == 1)
+    ((low, coef),) = c.entries[key].terms()
+
+    def moved(d):
+        c = real(d)
+        return dataclasses.replace(c, entries={**c.entries, key: P({low + 1: coef})})
+
+    monkeypatch.setattr(canonical, "adjoint_matrix", moved)
+    try:
+        assert _off_c_mismatches(3, 6, walks) == [(conjugate(key[0]), conjugate(key[1]))]
+    finally:
+        canonical_lower.cache_clear()
+
+
+def test_e_takes_the_walk_once_d_is_cleared(monkeypatch):
+    walks = _lower_walks(monkeypatch)
+    canonical_upper(3, 7)
+    canonical_lower.cache_clear()
+    canonical_lower(3, 7)
+    assert walks == []
+    canonical_upper.cache_clear()
+    canonical_lower.cache_clear()
+    canonical_lower(3, 7)
+    assert walks == [(3, 7)]
 
 
 def test_steinberg_examples():

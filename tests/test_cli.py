@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import threading
@@ -84,6 +85,31 @@ def test_the_148_documents_are_pinned():
             for kind in "ADEC":
                 digest.update(matrixio.matrix_to_json(compute_matrix(kind, n, m)).encode())
     assert digest.hexdigest() == "5b7346e7f45eb5e349ef88b181d56d123ecd55309e90b243834fb5bd2eae89e8"
+
+
+def test_matrix_e_alone_runs_one_walk_and_no_c(monkeypatch, capsys):
+    # no D is alive in a fresh state, so E takes its own walk: D's and C's
+    # walks do not run
+    canonical.canonical_upper.cache_clear()
+    canonical.canonical_lower.cache_clear()
+    gc.collect()
+    solves, walks = [], []
+    basis, walk = canonical._canonical_basis, canonical._block_walk
+
+    def counted_basis(n, m, lower):
+        solves.append(lower)
+        return basis(n, m, lower)
+
+    def counted_walk(n, m, column, settle):
+        walks.append((n, m))
+        return walk(n, m, column, settle)
+
+    monkeypatch.setattr(canonical, "_canonical_basis", counted_basis)
+    monkeypatch.setattr(canonical, "_block_walk", counted_walk)
+    code, out = run_cli(capsys, "matrix", "--kind", "E", "-n", "3", "-m", "6",
+                        "--no-cache", "--format", "json")
+    assert (code, json.loads(out)["kind"]) == (0, "E")
+    assert (solves, walks) == ([True], [(3, 6)])
 
 
 def test_each_distinct_polynomial_is_coded_once_per_document(monkeypatch):
@@ -450,13 +476,13 @@ def _off_diagonal(change):
          "adjoint", "V_j V_k = V_k V_j on the vacuum"),
         (verify, "canonical_upper", _off_diagonal(lambda key, v: (key, v.bar())),
          "duality", "rings: off-diag D in qZ[q], E in q^-1 Z[q^-1]"),
-        (verify, "canonical_lower", _off_diagonal(lambda key, v: (key, v.bar())),
+        (verify, "lower_by_walk", _off_diagonal(lambda key, v: (key, v.bar())),
          "duality", "rings: off-diag D in qZ[q], E in q^-1 Z[q^-1]"),
         # a D broken this way would stop adjoint_matrix before the checks, so
         # the order they read is reversed instead; E fails too
         (verify, "dominance_leq", lambda real: lambda a, b: real(b, a),
          "duality", "triangularity"),
-        (verify, "canonical_lower", _off_diagonal(lambda key, v: (key[::-1], v)),
+        (verify, "lower_by_walk", _off_diagonal(lambda key, v: (key[::-1], v)),
          "duality", "triangularity"),
         # every partition its own n-core: D and E both fail
         (verify, "blocks",

@@ -1,13 +1,18 @@
-"""Every ``functools.lru_cache`` memo of the package has a declared lifetime.
+"""Every memo of the package has a declared lifetime.
 
-A memo is either emptied by ``wedge.clear_caches``, the one lifetime of the
-images of basis vectors, or kept for the whole process and named in
-PER_PROCESS.  A new memo that is neither fails here, so an image memo cannot
-outlive the images it was built from.
+An ``functools.lru_cache`` memo is either emptied by ``wedge.clear_caches``,
+the one lifetime of the images of basis vectors, or kept for the whole
+process and named in PER_PROCESS.  A new memo that is neither fails here, so
+an image memo cannot outlive the images it was built from.  A memo kept on
+the object it is built from, named in ON_ITS_OBJECT, lives with that object:
+C = D^-1 is solved once per D and lives with its D, so that clearing
+``canonical_upper`` drops it too.
 """
 
+import gc
 import importlib
 import pkgutil
+import weakref
 
 import fockcanon
 from fockcanon import canonical, fock, wedge
@@ -21,6 +26,9 @@ PER_PROCESS = {
     "fockcanon.cli.build_parser",
     "fockcanon._straighten_py._exchange",
     "fockcanon.symfunc._mn",
+}
+ON_ITS_OBJECT = {
+    "fockcanon.canonical.adjoint_matrix": "lives with its D",
 }
 
 
@@ -54,3 +62,15 @@ def test_every_memo_is_cleared_or_per_process():
         assert left == dict.fromkeys(cleared, 0)
     finally:
         wedge.clear_caches()
+
+
+def test_c_lives_with_its_d():
+    assert ON_ITS_OBJECT.keys().isdisjoint(_memos())
+    d = canonical.canonical_upper(2, 6)
+    c = canonical.adjoint_matrix(d)
+    assert canonical.adjoint_matrix(d) is c  # solved once per D
+    c_ref = weakref.ref(c)
+    del d, c
+    canonical.canonical_upper.cache_clear()
+    gc.collect()
+    assert c_ref() is None  # a C memo at module level would still hold it
