@@ -18,9 +18,10 @@ module both read.  e_i scans the rim on each call.
 Horizontal n-ribbon strips are bead moves on the Littlewood abacus.  A strip
 of weight k is k steps, each moving a bead one place up its runner to a free
 place, taken in increasing order of destination; ``_strip_steps`` walks them
-(removal walks the same steps down, in decreasing order).  The order alone
-keeps the strip horizontal: a bead below another on its runner cannot pass
-that bead's old place before it moves, and cannot step at all after it.
+depth first, scanning for each next step's origin past the last one (removal
+walks the same steps down, in decreasing order).  The order alone keeps the
+strip horizontal: a bead below another on its runner cannot pass that
+bead's old place before it moves, and cannot step at all after it.
 Each step adds an n-ribbon whose height (rows - 1) is the number of beads it
 passes, so the height of a strip is the number of beads passed
 (cross-validated against the Heisenberg description of the same operators,
@@ -35,7 +36,6 @@ of the lower basis and behind the S-step of the bar images (see wedge).
 
 from __future__ import annotations
 
-from bisect import insort
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -323,12 +323,12 @@ def _strip_steps(p: Partition, n: int, k: int, above: bool):
     A step is given as it goes up: (origin, beads passed, beads under the
     origin before the step).
 
-    The walk is depth first, one list of candidate origins per step taken: a
-    step between u and u + n changes only those two places, so of the origins
-    past u it takes away none and adds at most u + n (above) or u - n (below).
-    Lists are never changed in place, so a step that adds no origin shares its
-    list with the level below.  The last step needs no list: every origin
-    left ends one strip.
+    The walk is depth first over a stack of place ranges, one per step
+    taken: each holds the places still to try after that step, above it up
+    to ``last`` (removal: below it down to ``tail``), so destinations keep
+    their order.  A place u is an origin when it holds ``bead`` and u + n
+    does not.  The k-th step yields and is undone at once; an exhausted
+    range pops its level and undoes the step under it.
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
@@ -337,41 +337,30 @@ def _strip_steps(p: Partition, n: int, k: int, above: bool):
     filled = bytearray(b"\x01") * tail + bytearray((p[0] if p else 0) + len(p) + n * k)
     for j, part in enumerate(p):
         filled[part + slots - 1 - j] = 1
+    if not k:
+        yield _partition_of(filled), slots, ()
+        return
     last = len(filled) - n  # a step between u and u + n needs u < last
-    if above:  # an origin u is listed as sign * u, in walk order
-        sign = 1
-        origins = [u for u in range(max(tail - n, 0), last) if filled[u] and not filled[u + n]]
-    else:
-        sign = -1
-        origins = [-u for u in range(last - 1, tail - 1, -1) if filled[u + n] and not filled[u]]
-    levels = [origins]
+    bead = 1 if above else 0  # what an origin holds, going up or down
+    levels = [iter(range(max(tail - n, 0), last) if above else range(last - 1, tail - 1, -1))]
     steps: list[tuple[int, int, int]] = []
-    while True:
-        origins = levels[-1]
-        if len(steps) < k - 1 and origins:
-            u = sign * origins[0]
-            steps.append((u, filled.count(1, u + 1, u + n), filled.count(1, 0, u)))
-            filled[u], filled[u + n] = filled[u + n], filled[u]
-            levels[-1] = rest = origins[1:]
-            w = u + sign * n  # the one place that may have become an origin
-            if 0 <= w < last and filled[w] == above and filled[w + n] != above:
-                rest = rest.copy()
-                insort(rest, sign * w)
-            levels.append(rest)
+    while levels:
+        for u in levels[-1]:
+            if filled[u] == bead and filled[u + n] != bead:
+                break
+        else:
+            levels.pop()
+            if steps:
+                u = steps.pop()[0]
+                filled[u], filled[u + n] = filled[u + n], filled[u]
             continue
-        if len(steps) == k - 1:  # the last step: each origin left ends a strip
-            for u in origins:
-                u *= sign
-                step = (u, filled.count(1, u + 1, u + n), filled.count(1, 0, u))
-                filled[u], filled[u + n] = filled[u + n], filled[u]
-                yield _partition_of(filled), slots, (*steps, step)
-                filled[u], filled[u + n] = filled[u + n], filled[u]
-        elif not k:
-            yield _partition_of(filled), slots, ()
-        levels.pop()
-        if not steps:
-            return
-        u = steps.pop()[0]
+        steps.append((u, filled.count(1, u + 1, u + n), filled.count(1, 0, u)))
+        filled[u], filled[u + n] = filled[u + n], filled[u]
+        if len(steps) < k:
+            levels.append(iter(range(u + 1, last) if above else range(u - 1, tail - 1, -1)))
+            continue
+        yield _partition_of(filled), slots, tuple(steps)
+        steps.pop()
         filled[u], filled[u + n] = filled[u + n], filled[u]
 
 

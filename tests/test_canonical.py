@@ -139,7 +139,7 @@ def test_broken_bar_image_fails_loudly(monkeypatch, mu, lam, poly, error):
         with pytest.raises(error):
             canonical_upper(2, sum(mu))
         with pytest.raises(error):
-            canonical_lower(2, sum(mu))
+            canonical.lower_by_walk(2, sum(mu))
     finally:
         canonical_upper.cache_clear()
         canonical_lower.cache_clear()
@@ -179,7 +179,7 @@ def test_broken_bar_image_names_the_entry(monkeypatch, mu, lam, message):
         with pytest.raises(AssertionError, match=message):
             canonical_upper(2, sum(mu))
         with pytest.raises(AssertionError, match=message):
-            canonical_lower(2, sum(mu))
+            canonical.lower_by_walk(2, sum(mu))
         assert settled == []
     finally:
         canonical_upper.cache_clear()
@@ -217,7 +217,7 @@ def test_constant_term_in_a_sum_fails_loudly(monkeypatch):
         with pytest.raises(NotAntisymmetricError):
             canonical_upper(2, 2)
         with pytest.raises(NotAntisymmetricError):
-            canonical_lower(2, 2)
+            canonical.lower_by_walk(2, 2)
     finally:
         canonical_upper.cache_clear()
         canonical_lower.cache_clear()

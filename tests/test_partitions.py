@@ -448,6 +448,13 @@ def test_strip_walk_is_not_bounded_by_the_recursion_limit():
     assert pt.ribbon_strips_below((2 * k,), 2, k) == [pt.RibbonStrip((), (2 * k,), 2, k, 0)]
 
 
+@pytest.mark.parametrize("strips", [pt.ribbon_strips_above, pt.ribbon_strips_below])
+@pytest.mark.parametrize("n, k", [(1, 1), (2, -1)], ids=["n=1", "k=-1"])
+def test_strip_walk_rejects_a_bad_ribbon_size_or_weight(strips, n, k):
+    with pytest.raises(ValueError, match=r"^need n >= 2 and k >= 0$"):
+        strips((2, 1), n, k)
+
+
 # -- dominoes ------------------------------------------------------------------
 
 
