@@ -7,8 +7,9 @@ For each size (n, m) this runs, in a new interpreter, the equivalent of
 once for each kind A, D, E and C, and once more with all four kinds in one
 process (kind "ADEC"), where the bar images are shared by A and D, and D's
 walk and C's walk by E and C: E is read off C there, while a single E run
-takes E's own walk.  Then it times the cache's read side, once for each kind
-(recorded with "cache": "hit"):
+takes E's own walk.  The sizes past the reach, ADEC_SIZES, get the ADEC run
+only.  Then, at the sizes with single runs, it times the cache's read side,
+once for each kind (recorded with "cache": "hit"):
 
     python -m fockcanon.cli matrix --kind K -n N -m M --cache-dir DIR --format json
 
@@ -37,11 +38,11 @@ that a drift of the machine's speed falls on all of them alike, until it
 has REPEATS samples if the slower side's first took under SUB_SECOND_S,
 else LONG_REPEATS (the reach sizes).  Each side's summary gives the median
 wall time with its min and max, the median peak RSS, and whether the stdout
-digests of its samples are equal; an ADEC run's also gives whether its
-stdout is the four single runs' stdouts one after the other.  A record
-holds both sides' summaries, the per-sample ratios of the change's wall
-time to the base's with their median, and whether both sides printed the
-same stdout.  The wall time is taken from the spawn to a blocking wait for
+digests of its samples are equal; an ADEC run's at a size with single runs
+also gives whether its stdout is the four single runs' stdouts one after
+the other.  A record holds both sides' summaries, the per-sample ratios of
+the change's wall time to the base's with their median, and whether both
+sides printed the same stdout.  The wall time is taken from the spawn to a blocking wait for
 the child's exit, which returns as soon as the child exits (a wait with a
 timeout would poll, sleeping up to 50 ms).  A timer kills a run that
 outlives TIMEOUT_S; it is recorded as timed out, with exit code -9.  The
@@ -64,8 +65,8 @@ Equal stdout digests mean equal matrices and equal verify reports.  The
 exit status is the gate: it is 1, and each failing run is named on stderr
 with its reason, when on either side a run failed or timed out, the samples
 of a run printed different stdouts, an ADEC run's stdout differs from its
-single runs', a hit run printed another document than its kind's
---no-cache run, or a run recorded no peak RSS where /proc/self/status
+single runs' where they exist, a hit run printed another document than its
+kind's --no-cache run, or a run recorded no peak RSS where /proc/self/status
 exists; or when the two sides of a run printed different stdouts.
 """
 
@@ -96,6 +97,9 @@ ALL_KINDS = "".join(KINDS)
 # the north star's end-to-end sizes, then the reach sizes
 SIZES = ((2, 13), (3, 12), (4, 12), (2, 18), (2, 20), (3, 20), (4, 22), (3, 22), (4, 24))
 SMOKE_SIZES = ((2, 6), (3, 5), (4, 6))
+# two more degrees of reach: the ADEC run only
+ADEC_SIZES = ((2, 22), (3, 24), (4, 26))
+SMOKE_ADEC_SIZES = ((2, 8),)
 TIMEOUT_S = 300.0
 SUB_SECOND_S = 1.0
 REPEATS = 5
@@ -206,12 +210,13 @@ def plan(smoke: bool, cache_dir: str) -> list:
     """(record head, CLI argvs of its process) for every run, in order; the
     hit runs read cache_dir."""
     runs = []
-    for n, m in SMOKE_SIZES if smoke else SIZES:
+    sizes = SMOKE_SIZES if smoke else SIZES
+    for n, m in (*sizes, *(SMOKE_ADEC_SIZES if smoke else ADEC_SIZES)):
         flags = ["-n", str(n), "-m", str(m), "--no-cache", "--format", "json"]
-        for kinds in (*KINDS, ALL_KINDS):
+        for kinds in (*KINDS, ALL_KINDS) if (n, m) in sizes else (ALL_KINDS,):
             runs.append(({"kind": kinds, "n": n, "m": m},
                          [["matrix", "--kind", kind, *flags] for kind in kinds]))
-        for kind in KINDS:
+        for kind in KINDS if (n, m) in sizes else ():
             runs.append(({"kind": kind, "n": n, "m": m, "cache": "hit"},
                          [["matrix", "--kind", kind, "-n", str(n), "-m", str(m),
                            "--cache-dir", cache_dir, "--format", "json"]]))
@@ -308,7 +313,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=os.path.dirname(os.path.abspath(__file__)),
                         help="directory for the BENCH file (default: benchmarks/)")
     parser.add_argument("--smoke", action="store_true",
-                        help=f"tiny sizes {SMOKE_SIZES} and the smoke verify plan only")
+                        help=f"tiny sizes {SMOKE_SIZES}, ADEC only at {SMOKE_ADEC_SIZES}, "
+                             "and the smoke verify plan only")
     parser.add_argument("--base", metavar="REV", default="HEAD",
                         help="the revision whose src/ is the base side (default: HEAD)")
     args = parser.parse_args(argv)
@@ -317,6 +323,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         runs = plan(args.smoke, os.path.join(tmp, "cache"))
         samples = {side: [[] for _ in runs] for side in SIDES}
+        # the --no-cache run of each (kind, n, m)
+        index = {(h["kind"], h["n"], h["m"]): i for i, (h, _) in enumerate(runs)
+                 if "kind" in h and "cache" not in h}
         equal_to_singles: dict = {side: {} for side in SIDES}
         fill_cache(runs, tmp, sides["change"])
         err_path = os.path.join(tmp, "stderr")
@@ -332,9 +341,10 @@ def main(argv=None) -> int:
                     samples[side][i].append(sample)
                     print(json.dumps({**head, "side": side, **sample}), file=sys.stderr)
                     if not rnd and head.get("kind") == ALL_KINDS:
-                        singles = [os.path.join(tmp, f"{side}-{j}.out")
-                                   for j in range(i - len(KINDS), i)]
-                        equal_to_singles[side][i] = sample["stdout_sha256"] == _sha256(*singles)
+                        singles = [index.get((kind, head["n"], head["m"])) for kind in KINDS]
+                        if None not in singles:  # not at an ADEC-only size
+                            paths = [os.path.join(tmp, f"{side}-{j}.out") for j in singles]
+                            equal_to_singles[side][i] = sample["stdout_sha256"] == _sha256(*paths)
     summaries = {side: [summary(s) for s in samples[side]] for side in SIDES}
     for side in SIDES:
         for i, same in equal_to_singles[side].items():

@@ -30,6 +30,7 @@ from .laurent import ONE, LaurentPoly, add_column, add_product, add_shifted, col
 from .partitions import (
     Partition,
     add_node_variants,
+    check_partition,
     node_counts,
     partition_label,
     partitions_of,
@@ -163,8 +164,11 @@ def e_action(i: int, v: FockVector, n: int) -> FockVector:
     """Node-removing generator: e_i |mu> = sum q^{-N_i^l} |lam>.
 
     The exponent is the negative of the left count; the positive variant
-    fails the quantum Serre commutator with f_i.
+    fails the quantum Serre commutator with f_i.  A key of v that is not a
+    partition raises ValueError (f_i checks its keys in node_row's memo).
     """
+    for p in v.terms:
+        check_partition(p)
     return FockVector(collect(node_sums(remove_node_variants, -1, i, v, n)))
 
 
@@ -202,11 +206,15 @@ def b_action(k: int, v: FockVector, n: int) -> FockVector:
 def strip_basis(k: int, p: Partition, n: int, above: bool) -> tuple:
     """V_k|p> (above) or U_k|p> (below) as (partition, pairs) terms: one
     term (-1)^h q^{-h} per strip of ribbon_strips_above or ribbon_strips_below,
-    at its target or source.  Walked once and kept, like the B_k images,
-    until wedge.clear_caches."""
+    at its target or source, its pairs those of the shared monomial.  Walked
+    once and kept, like the B_k images, until wedge.clear_caches.  A p that
+    is not a partition raises ValueError on its miss."""
+    check_partition(p)
     strips = ribbon_strips_above(p, n, k) if above else ribbon_strips_below(p, n, k)
+    monomial = LaurentPoly.monomial
     return tuple(
-        (s.target if above else s.source, ((-s.height, (-1) ** s.height),)) for s in strips
+        (s.target if above else s.source, monomial((-1) ** s.height, -s.height).terms())
+        for s in strips
     )
 
 

@@ -8,6 +8,12 @@ tuple of their nonzero terms as (exponent, coefficient) pairs, lowest exponent
 first, the zero polynomial having no terms.  The dense coefficient window
 between the lowest and highest exponent exists only in the JSON form.
 
+Values are shared (hash-consed): constructing one returns the stored value
+with the same pairs when there is one (``_interned``), so a matrix holds one
+object per distinct entry however many entries it has.  The table lives
+until ``wedge.clear_caches``; equality and hashing stay by value, so a value
+made before a clear equals, and hashes like, its rebuild after it.
+
 Sums of products, such as the coefficients of an operator applied to a
 vector, are not built as a chain of immutable values: ``add_product`` adds
 a*b in place into a sparse {exponent: int} dict, ``add_shifted`` adds a value
@@ -23,6 +29,9 @@ straightening kernel (``_straighten_py._add_product`` and ``_product``).
 
 from __future__ import annotations
 
+import operator
+from functools import lru_cache
+
 
 class NotAntisymmetricError(ValueError):
     """The polynomial is not antisymmetric under q -> 1/q."""
@@ -33,23 +42,36 @@ class NonIntegralResultError(ValueError):
 
 
 class LaurentPoly:
-    """A Laurent polynomial over Z in one variable q."""
+    """A Laurent polynomial over Z in one variable q, one shared object per
+    distinct value.
+
+    ``LaurentPoly(pairs)`` takes a tuple of pairs already in canonical form,
+    exact ints sorted by exponent with no zero coefficient, and returns the
+    stored value for it, made on the first request.  The table compares keys
+    by value, so a lookalike such as True for 1 or 2.0 for 2 would return
+    (or store) a value holding the wrong type: build values with
+    ``monomial``, ``from_terms`` or arithmetic, which give exact ints.
+    """
 
     __slots__ = ("_pairs",)
 
-    def __init__(self, pairs: tuple = ()):
-        """Wrap pairs already in canonical form; build values with
-        ``monomial``, ``from_terms`` or arithmetic."""
-        object.__setattr__(self, "_pairs", pairs)
+    def __new__(cls, pairs: tuple = ()):
+        return _interned(pairs)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):  # copies and unpickled values are the shared one
+        return LaurentPoly, (self._pairs,)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def monomial(cls, coeff: int = 1, exp: int = 0) -> "LaurentPoly":
-        return cls(((exp, coeff),) if coeff else ())
+        """coeff q^exp; an int-like coeff or exp becomes an exact int, and a
+        float raises TypeError."""
+        coeff = operator.index(coeff)
+        return cls(((operator.index(exp), coeff),) if coeff else ())
 
     @classmethod
     def from_terms(cls, terms: dict) -> "LaurentPoly":
@@ -195,6 +217,15 @@ class LaurentPoly:
             if value:
                 pairs.append((e, value))
         return cls(tuple(pairs))
+
+
+@lru_cache(maxsize=None)
+def _interned(pairs: tuple) -> LaurentPoly:
+    """The one LaurentPoly holding pairs, made on a miss and kept until
+    wedge.clear_caches."""
+    poly = object.__new__(LaurentPoly)
+    object.__setattr__(poly, "_pairs", pairs)
+    return poly
 
 
 def add_product(acc: dict[int, int], a: LaurentPoly, b: LaurentPoly) -> None:

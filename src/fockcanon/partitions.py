@@ -37,6 +37,7 @@ of the lower basis and behind the S-step of the bar images (see wedge).
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import ge
 from typing import Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -57,15 +58,17 @@ class NotApplicableError(ValueError):
 
 def check_partition(parts) -> Partition:
     """Validate a list or tuple of parts into a Partition: positive ints (not
-    bools, floats or strings), weakly decreasing."""
+    bools, floats or strings), weakly decreasing.  Each test is one pass of
+    a builtin, since the operators check their keys with it (fock.e_action
+    on every call)."""
     if type(parts) not in (list, tuple):
         raise ValueError(f"a partition is a list of parts, not {parts!r}")
     p = tuple(parts)
-    if any(type(x) is not int for x in p):
+    if not {int}.issuperset(map(type, p)):
         raise ValueError(f"parts must be integers: {p}")
-    if any(x <= 0 for x in p):
+    if p and min(p) <= 0:
         raise ValueError(f"parts must be positive: {p}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if not all(map(ge, p, p[1:])):
         raise ValueError(f"parts must be weakly decreasing: {p}")
     return p
 
@@ -176,8 +179,9 @@ def node_row(p: Partition, n: int) -> tuple:
     it, or None when there is no such node.  p then has no i-node above b,
     so f_i|mu> is |p> plus lex-smaller terms (see wedge).  Rows are memoized
     until wedge.clear_caches and hold only tuples, so no caller can change
-    one.
+    one.  A p that is not a partition raises ValueError on its miss.
     """
+    check_partition(p)
     variants: list[tuple[tuple[Partition, int], ...]] = [()] * n
     counts = [0] * n
     step = None

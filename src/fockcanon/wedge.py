@@ -11,9 +11,11 @@ its moved entry passes, and the image B_k|p> of a basis vector is computed
 once (``b_basis``).  Both memos are ``functools.lru_cache`` functions, like
 the strip images V_k|p> and U_k|p> that fock keeps (``fock.strip_basis``)
 and the node rows (``partitions.node_row``), so each reports its hits,
-misses and size through ``cache_info()``; so does the bar image memo,
-``_bar_image``.  ``clear_caches`` is the one lifetime of every image of a
-basis vector.
+misses and size through ``cache_info()``; so do the bar image memo,
+``_bar_image``, and the table of shared LaurentPoly values
+(``laurent._interned``).  ``clear_caches`` empties these six memos: it is
+the one lifetime of every image of a basis vector and of the values they
+hold.
 
 The layer works on basis vectors only, as the bar involution and B_k are
 defined on single wedges: both take one partition and give its image keyed
@@ -51,7 +53,7 @@ from functools import lru_cache
 
 from . import _straighten_py as _kernel
 from . import fock
-from .laurent import ONE, LaurentPoly, add_product, add_shifted, collect
+from .laurent import ONE, LaurentPoly, _interned, add_product, add_shifted, collect
 from .partitions import (
     NotApplicableError,
     Partition,
@@ -114,10 +116,12 @@ def extend_head(w: Word, K: int) -> Word:
 
 
 def clear_caches() -> None:
-    """Drop every image of a basis vector: the bar images (_bar_image), the
-    straightened words, the B_k images, the strip images of V_k and U_k
-    (fock.strip_basis) and the node rows."""
-    for memo in (_bar_image, _straightened, b_basis, fock.strip_basis, node_row):
+    """Drop every image of a basis vector and the shared values, six memos:
+    the bar images (_bar_image), the straightened words, the B_k images, the
+    strip images of V_k and U_k (fock.strip_basis), the node rows and the
+    table of LaurentPoly values (laurent._interned).  Values made before
+    still equal, and hash like, the ones made after."""
+    for memo in (_bar_image, _straightened, b_basis, fock.strip_basis, node_row, _interned):
         memo.cache_clear()
 
 
@@ -203,7 +207,9 @@ def b_action_words(k: int, p: Partition, n: int) -> tuple:
 @lru_cache(maxsize=None)
 def b_basis(k: int, p: Partition, n: int) -> tuple:
     """B_k|p> as b_action_words gives it, computed once and kept until
-    clear_caches."""
+    clear_caches.  A p that is not a partition raises ValueError on its
+    miss."""
+    check_partition(p)
     return b_action_words(k, p, n)
 
 
@@ -301,8 +307,8 @@ def _bar_image(lam: Partition, n: int) -> dict[Partition, LaurentPoly]:
     """bar|lam>, built once by the first route of bar_basis that applies and
     kept until clear_caches.  Each route reads the images it needs through
     _bar_image, one degree lower or lex-smaller in the same degree, so the
-    recursion ends.  Read it, do not change it."""
-    check_partition(lam)
+    recursion ends.  Read it, do not change it.  A lam that is not a
+    partition raises ValueError in node_row, which it reads first."""
     if (f_step := node_row(lam, n)[0]) is not None:
         return _f_column(lam, n, *f_step)
     if (s_step := _s_step(lam, n)) is not None:

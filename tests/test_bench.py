@@ -26,9 +26,13 @@ def test_smoke_plan_holds_every_run():
         size = [h for h in runs if "kind" in h and (h["n"], h["m"]) == (n, m)]
         assert sorted(h["kind"] for h in size if "cache" not in h) == sorted([*"ADEC", "ADEC"])
         assert sorted(h["kind"] for h in size if h.get("cache") == "hit") == sorted("ADEC")
+    for n, m in bench.SMOKE_ADEC_SIZES:  # past the reach: the ADEC run only
+        assert [h for h in runs if (h.get("n"), h.get("m")) == (n, m)] == [
+            {"kind": "ADEC", "n": n, "m": m}
+        ]
     verify = [(h["suite"], h["n"], h["max_m"]) for h in runs if "suite" in h]
     assert verify == list(bench.SMOKE_VERIFY_PLAN)
-    assert len(runs) == 9 * len(bench.SMOKE_SIZES) + len(verify)
+    assert len(runs) == 9 * len(bench.SMOKE_SIZES) + len(bench.SMOKE_ADEC_SIZES) + len(verify)
 
 
 def _sample(digest, **fields):
@@ -48,7 +52,7 @@ def _records(damage=None):
             if damage:
                 damage(head, side, samples)
             sides[side] = bench.summary(samples)
-            if head.get("kind") == bench.ALL_KINDS:
+            if head.get("kind") == bench.ALL_KINDS and (head["n"], head["m"]) in bench.SMOKE_SIZES:
                 sides[side]["equals_single_runs"] = True
         records.append(bench.pair(head, sides["base"], sides["change"]))
     return records

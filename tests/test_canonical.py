@@ -444,6 +444,25 @@ def test_e_takes_the_walk_once_d_is_cleared(monkeypatch):
     assert walks == [(3, 7)]
 
 
+def test_entries_are_one_object_per_distinct_value():
+    """Every off-diagonal entry of A, D, E and C at (3,8), built from cleared
+    memos, is the one shared object for its value.  (The diagonal holds the
+    ONE made at import, which a clear leaves as a second object of that
+    value.)"""
+    wedge.clear_caches()
+    canonical_upper.cache_clear()
+    canonical_lower.cache_clear()
+    try:
+        d = canonical_upper(3, 8)
+        mats = [a_matrix(3, 8), d, canonical_lower(3, 8), adjoint_matrix(d)]
+        values = [v for mat in mats for (lam, mu), v in mat.entries.items() if lam != mu]
+        assert len({id(v) for v in values}) == len(set(values)) < len(values) // 4
+    finally:
+        wedge.clear_caches()
+        canonical_upper.cache_clear()
+        canonical_lower.cache_clear()
+
+
 def test_steinberg_examples():
     assert steinberg_g_minus((2,), 2) == FockVector(
         {(2,): ONE, (1, 1): P({-1: -1})}

@@ -7,7 +7,7 @@ import pytest
 
 from fockcanon import fock, partitions, symfunc, wedge
 from fockcanon.fock import FockVector
-from fockcanon.laurent import LaurentPoly, NonIntegralResultError, ZERO, q_int
+from fockcanon.laurent import ONE, LaurentPoly, NonIntegralResultError, ZERO, q_int
 from fockcanon.partitions import partition_label, partitions_of, revlex_order
 
 P = LaurentPoly.from_terms
@@ -338,6 +338,17 @@ def test_strip_images_are_unchanged_by_multi_term_coefficients():
         wedge.clear_caches()
 
 
+def test_strip_images_hold_the_shared_monomials():
+    wedge.clear_caches()
+    try:
+        terms = [pairs for p in partitions_of(6) for above in (True, False)
+                 for _, pairs in fock.strip_basis(2, p, 2, above)]
+        assert len({id(pairs) for pairs in terms}) == len(set(terms)) < len(terms)
+        assert all(LaurentPoly(pairs).terms() is pairs for pairs in terms)
+    finally:
+        wedge.clear_caches()
+
+
 # -- inner product and bar ------------------------------------------------------
 
 
@@ -422,3 +433,25 @@ def test_vector_pretty_does_not_enumerate_the_degree():
     assert time.perf_counter() - t0 < 1.0
     assert text.startswith("|[400]> + q|[399,1]> + q^2|[398,2]>")
     assert text.endswith("q^200|[200,200]>")
+
+
+@pytest.mark.parametrize("key", [(1, 2), (0,), (-1,), (2, 0)])
+@pytest.mark.parametrize(
+    "op",
+    [
+        partial(fock.f_action, 0),
+        partial(fock.e_action, 0),
+        partial(fock.v_op, 1),
+        partial(fock.u_op, 1),
+        partial(fock.s_alpha, (2, 1)),
+        partial(fock.b_action, -1),
+    ],
+    ids=["f_action", "e_action", "v_op", "u_op", "s_alpha", "b_action"],
+)
+def test_operators_reject_a_key_that_is_not_a_partition(op, key):
+    wedge.clear_caches()  # the checks run on the memos' misses
+    try:
+        with pytest.raises(ValueError, match="positive|weakly decreasing"):
+            op(FockVector({key: ONE}), 2)
+    finally:
+        wedge.clear_caches()

@@ -1,10 +1,13 @@
 import ast
+import copy
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fockcanon
+from fockcanon import wedge
 from fockcanon.laurent import (
     ONE,
     ZERO,
@@ -293,3 +296,54 @@ def test_json_window():
     assert ZERO.to_json() == {"min": 0, "c": []}
     for doc in ({"min": 0, "c": []}, {"min": 3, "c": ["0", "0"]}):
         assert LaurentPoly.from_json(doc) == ZERO and not LaurentPoly.from_json(doc)
+
+
+# -- shared values -------------------------------------------------------------
+
+
+def test_equal_values_are_one_object():
+    value = P({2: 1, -2: -1})
+    assert P({-2: -1, 2: 1, 0: 0}) is value
+    assert (value + 0) is value and value.bar() is -value
+    assert LaurentPoly.monomial(1) is LaurentPoly.monomial(1, 0) is P({0: 1})
+
+
+@pytest.mark.parametrize(
+    "roundtrip",
+    [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_are_the_shared_value(roundtrip):
+    values = [P(dict(v.terms())) for v in SAMPLES]  # the current table's
+    for value in values:
+        assert roundtrip(value) is value
+    assert roundtrip({"x": values[0]})["x"] is values[0]
+
+
+def test_a_value_from_before_a_clear_equals_its_rebuild():
+    wedge.clear_caches()
+    old = P({-3: 2, 1: -1})
+    wedge.clear_caches()
+    new = P({-3: 2, 1: -1})
+    assert new is not old  # the table was emptied
+    assert new == old and hash(new) == hash(old) and len({old, new}) == 1
+    assert old + 1 == new + 1 and old - new == ZERO
+
+
+def test_lookalike_coefficients_never_enter_the_table():
+    """True == 1 and 2.0 == 2 as dict keys: a value built from one must not
+    be the value that a later exact int finds."""
+    wedge.clear_caches()
+    try:
+        assert LaurentPoly.monomial(True, 7).terms() == ((7, 1),)
+        assert LaurentPoly.monomial(1, 7).to_json() == {"min": 7, "c": ["1"]}
+        assert LaurentPoly.monomial(3, True).to_json() == {"min": 1, "c": ["3"]}
+        for pairs in (LaurentPoly.monomial(True, 7).terms(), (P({7: 1}) + True).terms()):
+            assert all(type(x) is int for pair in pairs for x in pair)
+        with pytest.raises(TypeError):
+            LaurentPoly.monomial(2.0, 7)
+        with pytest.raises(TypeError):
+            LaurentPoly.monomial(2, 7.0)
+        assert LaurentPoly.monomial(2, 7).to_json() == {"min": 7, "c": ["2"]}
+    finally:
+        wedge.clear_caches()

@@ -3,7 +3,9 @@
 An ``functools.lru_cache`` memo is either emptied by ``wedge.clear_caches``,
 the one lifetime of the images of basis vectors, or kept for the whole
 process and named in PER_PROCESS.  A new memo that is neither fails here, so
-an image memo cannot outlive the images it was built from.  A memo kept on
+an image memo cannot outlive the images it was built from; the table of
+shared LaurentPoly values (``laurent._interned``) is emptied with the images
+that hold them.  A memo kept on
 the object it is built from, named in ON_ITS_OBJECT, lives with that object:
 C = D^-1 is solved once per D and lives with its D, so that clearing
 ``canonical_upper`` drops it too.
@@ -48,7 +50,7 @@ def test_every_memo_is_cleared_or_per_process():
     memos = _memos()
     assert PER_PROCESS <= memos.keys()
     cleared = {name: memo for name, memo in memos.items() if name not in PER_PROCESS}
-    assert "fockcanon.wedge._bar_image" in cleared
+    assert {"fockcanon.wedge._bar_image", "fockcanon.laurent._interned"} <= cleared.keys()
     wedge.clear_caches()
     try:
         canonical.a_matrix(2, 4)
