@@ -6,8 +6,8 @@ For each size (n, m) this runs, in a new interpreter, the equivalent of
 
 once for each kind A, D, E and C, and once more with all four kinds in one
 process (kind "ADEC"), where the bar images are shared by A and D, and D's
-walk and C's walk by E and C: E is read off C there, while a single E run
-takes E's own walk.  The sizes past the reach, ADEC_SIZES, get the ADEC run
+walk and C's walk by D, E and C: E is read off C, so a single E run walks
+D and C as well.  The sizes past the reach, ADEC_SIZES, get the ADEC run
 only.  Then, at the sizes with single runs, it times the cache's read side,
 once for each kind (recorded with "cache": "hit"):
 

@@ -21,17 +21,15 @@ Matrix kinds and orientations:
   E: lower basis,     row lam  = G^-(lam)
   C: inverse of D     (adjoint-basis coefficients)
 
-C is solved once per D and kept on it.  E has two routes to one result.
-When a D of the same (n, m) is alive, E is read off its C by the duality
-e_{lam,mu}(q) = c_{lam',mu'}(1/q): C's walk over the sparse columns of D
-costs about half E's walk over the bar images, so a process that asks for
-D, E and C walks D and C only.  A cold E alone takes its own walk, which
-costs less than D's walk and C's together at the small n=2 sizes.
+C is solved once per D and kept on it, and E is always read off C by the
+duality e_{lam,mu}(q) = c_{lam',mu'}(1/q), so D, E and C together walk D
+and C only.  E's own walk over the bar images (``lower_by_walk``) is kept
+as the independent oracle that the duality check and the tests compare
+with.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -201,36 +199,23 @@ def _canonical_basis(
     return {(mu, lam): x for (lam, mu), x in entries.items()} if lower else entries
 
 
-# The D of each (n, m) for as long as something holds it (canonical_upper's
-# memo or a caller): weak, so that clearing the memo lets D and its C go.
-_uppers: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 @lru_cache(maxsize=None)
 def canonical_upper(n: int, m: int) -> TransitionMatrix:
     """Matrix D: column mu holds G(mu) = |mu> + sum_{lam} d_{lam mu} |lam>."""
-    d = _uppers[n, m] = TransitionMatrix("D", n, m, _canonical_basis(n, m, lower=False))
-    return d
+    return TransitionMatrix("D", n, m, _canonical_basis(n, m, lower=False))
 
 
 @lru_cache(maxsize=None)
 def canonical_lower(n: int, m: int) -> TransitionMatrix:
-    """Matrix E: row lam holds G^-(lam) = sum_mu e_{lam mu} |mu>.
-
-    With a D of (n, m) alive, E is C's entries conjugated and barred: C is
-    then solved once for both, and its walk costs about half E's.  Without
-    one, E takes its own walk (``lower_by_walk``), since D's walk and C's
-    together cost up to 1.8x E's walk at n=2.
-    """
-    d = _uppers.get((n, m))
-    if d is None:
-        return lower_by_walk(n, m)
-    return TransitionMatrix("E", n, m, _conjugate_bar(adjoint_matrix(d)))
+    """Matrix E: row lam holds G^-(lam) = sum_mu e_{lam mu} |mu>, read off
+    C = D^-1 conjugated and barred (the duality), with C solved once per D."""
+    return TransitionMatrix("E", n, m, _conjugate_bar(adjoint_matrix(canonical_upper(n, m))))
 
 
 def lower_by_walk(n: int, m: int) -> TransitionMatrix:
-    """Matrix E by its own walk over the bar images, whatever D is alive:
-    the oracle that the duality check compares with C."""
+    """Matrix E by its own walk over the bar images: not the route of
+    canonical_lower but the independent oracle that the duality check and
+    the tests compare with C."""
     return TransitionMatrix("E", n, m, _canonical_basis(n, m, lower=True))
 
 

@@ -86,8 +86,8 @@ def parse_degree(text: str) -> int:
 
 
 def compute_matrix(kind: str, n: int, m: int) -> TransitionMatrix:
-    """The matrix of a kind.  E is read off C when this process holds the D,
-    and C is solved once per D, so D, E and C in one process walk D and C."""
+    """The matrix of a kind.  E is read off C, and C is solved once per D,
+    so D, E and C in one process walk D and C only."""
     if kind == "A":
         return a_matrix(n, m)
     if kind == "D":

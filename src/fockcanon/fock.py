@@ -189,11 +189,14 @@ def _b_sums(k: int, terms: dict, n: int) -> dict:
     """{partition: {exponent: int}}: B_k on terms, an {exponent: int} sum per
     partition, as a linear map over the images wedge.b_basis keeps, each added
     by laurent.add_column.  B_k lowers the degree by kn, so a term |p> with
-    |p| < kn maps to 0 and is not straightened."""
+    |p| < kn maps to 0 and is not straightened; its key is still checked, so
+    a p that is not a partition raises ValueError here or in b_basis."""
     sums: dict = {}
     for p, c in terms.items():
         if sum(p) >= k * n:
             add_column(sums, wedge.b_basis(k, p, n), c.items())
+        else:
+            check_partition(p)
     return sums
 
 

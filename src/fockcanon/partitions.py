@@ -198,8 +198,10 @@ def node_row(p: Partition, n: int) -> tuple:
 def add_node_variants(p: Partition, i: int, n: int) -> tuple[tuple[Partition, int], ...]:
     """All (mu, N_i^r) with mu/p a single i-node b: N_i^r is the number of
     addable minus removable i-nodes of p to the right of b.  This is the
-    stored tuple of p's row (see node_row)."""
-    return node_row(p, n)[1][i] if 0 <= i < n else ()
+    stored tuple of p's row (see node_row), read for every i, so that a p
+    that is not a partition raises ValueError whatever the residue."""
+    variants = node_row(p, n)[1]
+    return variants[i] if 0 <= i < n else ()
 
 
 def remove_node_variants(p: Partition, i: int, n: int) -> list[tuple[Partition, int]]:

@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import hashlib
 import json
 import threading
@@ -87,12 +86,11 @@ def test_the_148_documents_are_pinned():
     assert digest.hexdigest() == "5b7346e7f45eb5e349ef88b181d56d123ecd55309e90b243834fb5bd2eae89e8"
 
 
-def test_matrix_e_alone_runs_one_walk_and_no_c(monkeypatch, capsys):
-    # no D is alive in a fresh state, so E takes its own walk: D's and C's
-    # walks do not run
+def test_matrix_e_alone_walks_d_and_c_and_not_e(monkeypatch, capsys):
+    # E is read off C = D^-1 whatever else the process holds, so E from
+    # cleared memos runs D's walk and C's walk, and never E's own
     canonical.canonical_upper.cache_clear()
     canonical.canonical_lower.cache_clear()
-    gc.collect()
     solves, walks = [], []
     basis, walk = canonical._canonical_basis, canonical._block_walk
 
@@ -109,7 +107,7 @@ def test_matrix_e_alone_runs_one_walk_and_no_c(monkeypatch, capsys):
     code, out = run_cli(capsys, "matrix", "--kind", "E", "-n", "3", "-m", "6",
                         "--no-cache", "--format", "json")
     assert (code, json.loads(out)["kind"]) == (0, "E")
-    assert (solves, walks) == ([True], [(3, 6)])
+    assert (solves, walks) == ([False], [(3, 6), (3, 6)])
 
 
 def test_each_distinct_polynomial_is_coded_once_per_document(monkeypatch):

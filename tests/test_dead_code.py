@@ -6,6 +6,11 @@ an imported or exported name, or a string that the benchmark looks up with
 ``getattr``.  Tests do not count, so a function only a test calls fails.
 A constant is a name bound by a module-level assignment; dunder names such as
 ``__version__`` are exempt.
+
+Likewise every module-level import of a package module is used by that
+module, or is re-exported: another module of the package imports the name
+from it.  The package's ``__init__``
+imports only to re-export, so it is exempt.
 """
 
 import ast
@@ -60,3 +65,49 @@ def test_every_definition_is_used():
             uses.update(_names(stmt, skip=defined))
     unused = [f"{module}: {name}" for module, name in definitions if not uses[name]]
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def _imported(stmt) -> list[str]:
+    """The names that a module-level import binds, ``__future__`` left out."""
+    if isinstance(stmt, ast.Import):
+        return [alias.asname or alias.name.partition(".")[0] for alias in stmt.names]
+    if isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+        return [alias.asname or alias.name for alias in stmt.names]
+    return []
+
+
+def _reexported(tree) -> set[tuple[str, str]]:
+    """(module, name) for each ``from .module import name`` in tree."""
+    return {
+        (sub.module.removeprefix("fockcanon."), alias.name)
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.ImportFrom) and sub.module
+        for alias in sub.names
+    }
+
+
+def test_every_import_is_used_or_reexported():
+    unused = []
+    reexported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        uses = {
+            sub.id if isinstance(sub, ast.Name) else sub.value
+            for stmt in tree.body
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom))
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) or (isinstance(sub, ast.Constant) and isinstance(sub.value, str))
+        }
+        unused += [
+            (path.stem, name, stmt.lineno)
+            for stmt in tree.body
+            for name in _imported(stmt)
+            if name not in uses
+        ]
+        reexported |= _reexported(tree)
+    left = [
+        f"{module}.py:{line}: {name}"
+        for module, name, line in unused
+        if module != "__init__" and (module, name) not in reexported
+    ]
+    assert not left, "imported but never used: " + ", ".join(left)

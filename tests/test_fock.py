@@ -440,13 +440,16 @@ def test_vector_pretty_does_not_enumerate_the_degree():
     "op",
     [
         partial(fock.f_action, 0),
+        partial(fock.f_action, 5),  # no residue 5 at n=2
         partial(fock.e_action, 0),
         partial(fock.v_op, 1),
         partial(fock.u_op, 1),
         partial(fock.s_alpha, (2, 1)),
         partial(fock.b_action, -1),
+        partial(fock.b_action, 1),  # (0,) and (-1,) lie below degree kn = 2
     ],
-    ids=["f_action", "e_action", "v_op", "u_op", "s_alpha", "b_action"],
+    ids=["f_action", "f_action_no_residue", "e_action", "v_op", "u_op", "s_alpha",
+         "b_action", "b_action_lowering"],
 )
 def test_operators_reject_a_key_that_is_not_a_partition(op, key):
     wedge.clear_caches()  # the checks run on the memos' misses
